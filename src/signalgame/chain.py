@@ -1,18 +1,20 @@
 """Exact analysis of the perturbed evolutionary chain at desk scale.
 
-The joint state space (one language id per agent) is enumerated densely, the
-one-step kernel is assembled in exact product form per agent, and the
-machinery of stochastic stability runs on top: recurrent classes of the
-unperturbed chain, one-step resistances (the epsilon-exponent of each
-transition, additive over agents because agents update independently), least
-resistances between classes via min-plus relaxation over the full state
-space, stochastic potentials via minimum spanning arborescences, and
-stationary distributions of the perturbed chain for epsilon sweeps.
+The joint state space (one language id per agent) is enumerated densely.
+Each dynamic supplies a single hook, the per-agent next-language
+distribution for a batch of states; agents update independently, so the
+one-step kernel is its product over agents, and the one-step resistances
+(the epsilon-exponent of each transition) are sums over agents of
+per-agent exponents read off the same distribution, which is affine in
+epsilon. On top runs the machinery of stochastic stability: recurrent
+classes of the unperturbed chain, least resistances between classes via
+min-plus relaxation over the full state space, stochastic potentials via
+minimum spanning arborescences, and stationary distributions of the
+perturbed chain for epsilon sweeps.
 
-Stationary solves default to a blocked Grassmann-Taksar-Heyman elimination:
+Stationary solves use a blocked Grassmann-Taksar-Heyman elimination:
 subtraction-free, so componentwise accurate even when the spectral gap is
 tiny, and arranged so the bulk of the work is one matrix product per block.
-Power iteration is available for fast-mixing instances and cross-checks.
 """
 
 from __future__ import annotations
@@ -73,30 +75,49 @@ class StateSpace:
         return ids
 
 
+def _outer(factors: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """(V, K^N) joint rows from (V, N, K) per-agent factors, agent 0 outermost.
+
+    Row v, column encode(w) combines factors[v, i, w_i] over the agents in
+    index order, one agent at a time, so the full-width array is written once.
+    """
+    V, N, K = factors.shape
+    joint = factors[:, 0]
+    for i in range(1, N):
+        joint = combine(joint[:, :, None], factors[:, i, None, :]).reshape(V, -1)
+    return joint
+
+
 class _ChainModel:
-    """Shared scaffolding for the two dynamics; subclasses supply the
-    per-agent copy distribution and mutation support."""
+    """Shared scaffolding for the two dynamics.
+
+    A dynamic supplies one hook, ``per_agent_dists(ids, eps)``: for a (V, N)
+    batch of states, the (V, N, K) next-language distribution of every agent.
+    Agents update independently given the state, so the kernel, the
+    transition rows and probabilities, the resistances and the recurrent
+    classes all derive from it. Each per-agent probability must be affine in
+    epsilon, which makes its resistance (its epsilon-exponent) 0 where it is
+    positive at epsilon 0, 1 where it is positive only for epsilon in (0, 1),
+    and inf where it is always zero.
+    """
 
     def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
         self.n_agents = n_agents
 
-    # -- per-state structure ------------------------------------------------
-
-    def _copy_dists(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        """(N, K) epsilon-free copy distribution per agent."""
-        raise NotImplementedError
-
-    def _zero_cost_mask(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        """(N, K) bool: languages an agent can adopt without a mutation."""
-        raise NotImplementedError
-
-    def _mutation_mask(self, ids: np.ndarray) -> np.ndarray:
-        """(N, K) bool: languages reachable for an agent through one mutation."""
-        raise NotImplementedError
-
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
+        """(V, N, K) next-language distribution per agent for (V, N) states."""
         raise NotImplementedError
+
+    def _resistances(self, ids: np.ndarray) -> np.ndarray:
+        """(V, N, K) float32 per-agent resistances for (V, N) states.
+
+        An affine probability that is positive anywhere in (0, 1) is positive
+        at epsilon 1/2, so one probe there separates resistance 1 from inf.
+        """
+        free = self.per_agent_dists(ids, 0.0) > 0.0
+        possible = self.per_agent_dists(ids, 0.5) > 0.0
+        return np.where(free, np.float32(0), np.where(possible, np.float32(1), np.float32(_INF)))
 
     # -- public operations ---------------------------------------------------
 
@@ -104,93 +125,56 @@ class _ChainModel:
         self, ids, eps: float, max_states: int = DEFAULT_MAX_STATES
     ) -> np.ndarray:
         """Exact one-step distribution over all state indices."""
-        space = StateSpace(self.table, self.n_agents, max_states)
-        dists = self.per_agent_dists(np.asarray(ids, dtype=np.int64), eps)
-        row = dists[0]
-        for i in range(1, self.n_agents):
-            row = (row[:, None] * dists[i][None, :]).ravel()
-        assert row.size == space.size
-        return row
+        StateSpace(self.table, self.n_agents, max_states)  # raises above the cap
+        dists = self.per_agent_dists(np.asarray(ids, dtype=np.int64)[None], eps)
+        return _outer(dists, np.multiply)[0]
 
     def transition_prob(self, ids, new_ids, eps: float) -> float:
         """Probability of one specific transition; no state-space cap needed."""
-        ids = np.asarray(ids, dtype=np.int64)
-        new_ids = np.asarray(new_ids, dtype=np.int64)
-        dists = self.per_agent_dists(ids, eps)
+        dists = self.per_agent_dists(np.asarray(ids, dtype=np.int64)[None], eps)[0]
         return float(np.prod(dists[np.arange(self.n_agents), new_ids]))
 
     def step_resistance(self, ids, new_ids) -> float:
         """Epsilon-exponent of a one-step transition: mutations forced, or inf."""
-        ids = np.asarray(ids, dtype=np.int64)
-        new_ids = np.asarray(new_ids, dtype=np.int64)
-        fit = self.table.fitness_scaled_ids(ids)
-        zero = self._zero_cost_mask(ids, fit)
-        mut = self._mutation_mask(ids)
-        agents = np.arange(self.n_agents)
-        cost = np.where(
-            zero[agents, new_ids], 0.0, np.where(mut[agents, new_ids], 1.0, _INF)
-        )
-        return float(cost.sum())
+        cost = self._resistances(np.asarray(ids, dtype=np.int64)[None])[0]
+        return float(cost[np.arange(self.n_agents), new_ids].sum())
 
     def kernel(self, eps: float, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
         """Dense one-step transition matrix at a fixed epsilon."""
         space = StateSpace(self.table, self.n_agents, max_states)
-        all_ids = space.all_ids()
-        out = np.empty((space.size, space.size))
-        for v in range(space.size):
-            dists = self.per_agent_dists(all_ids[v], eps)
-            row = dists[0]
-            for i in range(1, self.n_agents):
-                row = (row[:, None] * dists[i][None, :]).ravel()
-            out[v] = row
-        return out
+        return _outer(self.per_agent_dists(space.all_ids(), eps), np.multiply)
 
     def resistance_matrix(self, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
         """(V, V) float32 matrix of one-step resistances (inf = impossible)."""
         space = StateSpace(self.table, self.n_agents, max_states)
-        all_ids = space.all_ids()
-        out = np.empty((space.size, space.size), dtype=np.float32)
-        for v in range(space.size):
-            ids = all_ids[v]
-            fit = self.table.fitness_scaled_ids(ids)
-            zero = self._zero_cost_mask(ids, fit)
-            mut = self._mutation_mask(ids)
-            cost = np.where(zero, np.float32(0), np.where(mut, np.float32(1), np.float32(_INF)))
-            row = cost[0]
-            for i in range(1, self.n_agents):
-                row = (row[:, None] + cost[i][None, :]).ravel()
-            out[v] = row
-        return out
+        return _outer(self._resistances(space.all_ids()), np.add)
 
     def recurrent_classes(self, max_states: int = DEFAULT_MAX_STATES) -> list[list[int]]:
-        """Closed communication classes of the unperturbed (eps=0) chain."""
+        """Closed communication classes of the unperturbed (eps=0) chain.
+
+        The zero-resistance edges are grown sparsely, one agent at a time:
+        each partial edge is extended by every language that agent can adopt
+        at epsilon 0.
+        """
         space = StateSpace(self.table, self.n_agents, max_states)
-        all_ids = space.all_ids()
         K = self.table.size
-        srcs: list[int] = []
-        dsts: list[int] = []
-        for v in range(space.size):
-            ids = all_ids[v]
-            fit = self.table.fitness_scaled_ids(ids)
-            zero = self._zero_cost_mask(ids, fit)
-            supports = [np.flatnonzero(zero[i]) for i in range(self.n_agents)]
-            for combo in itertools.product(*supports):
-                w = 0
-                for lid in combo:
-                    w = w * K + int(lid)
-                srcs.append(v)
-                dsts.append(w)
-        n_edges = len(srcs)
+        free = self.per_agent_dists(space.all_ids(), 0.0) > 0.0
+        srcs = np.arange(space.size)
+        dsts = np.zeros(space.size, dtype=np.int64)
+        for i in range(self.n_agents):
+            edge, lid = np.nonzero(free[srcs, i])
+            srcs, dsts = srcs[edge], dsts[edge] * K + lid
         graph = coo_matrix(
-            (np.ones(n_edges, dtype=np.int8), (srcs, dsts)), shape=(space.size, space.size)
+            (np.ones(srcs.size, dtype=np.int8), (srcs, dsts)), shape=(space.size, space.size)
         ).tocsr()
-        _, labels = connected_components(graph, directed=True, connection="strong")
-        open_comps = set(labels[s] for s, t in zip(srcs, dsts) if labels[s] != labels[t])
-        classes: dict[int, list[int]] = {}
-        for v, lab in enumerate(labels):
-            if lab not in open_comps:
-                classes.setdefault(int(lab), []).append(v)
-        return sorted(classes.values(), key=min)
+        n_comps, labels = connected_components(graph, directed=True, connection="strong")
+        leaving = labels[srcs] != labels[dsts]
+        open_comps = np.zeros(n_comps, dtype=bool)
+        open_comps[labels[srcs[leaving]]] = True
+        closed = np.flatnonzero(~open_comps[labels])
+        closed = closed[np.argsort(labels[closed], kind="stable")]
+        cuts = np.flatnonzero(np.diff(labels[closed])) + 1
+        return sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
 
     def least_resistance(
         self, max_states: int = DEFAULT_MAX_STATES
@@ -227,38 +211,20 @@ class ImitationChain(_ChainModel):
         super().__init__(table, params.n_agents)
         self.params = params
         self._disk_unif = np.zeros((table.size, table.size))
-        self._disk_mask = np.zeros((table.size, table.size), dtype=bool)
         for lid, members in enumerate(table.disks(params.d)):
             self._disk_unif[lid, members] = 1.0 / members.size
-            self._disk_mask[lid, members] = True
-
-    def _argmax_dist(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        top = np.flatnonzero(fit == fit.max())
-        dist = np.zeros(self.table.size)
-        np.add.at(dist, ids[top], 1.0 / top.size)
-        return dist
-
-    def _copy_dists(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self._argmax_dist(ids, fit), (self.n_agents, self.table.size))
-
-    def _zero_cost_mask(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        argmax_langs = np.zeros(self.table.size, dtype=bool)
-        argmax_langs[ids[fit == fit.max()]] = True
-        mask = np.broadcast_to(argmax_langs, (self.n_agents, self.table.size)).copy()
-        mask[np.arange(self.n_agents), ids] = True
-        return mask
-
-    def _mutation_mask(self, ids: np.ndarray) -> np.ndarray:
-        return self._disk_mask[ids]
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         fit = self.table.fitness_scaled_ids(ids)
-        imit = self._argmax_dist(ids, fit)
+        top = fit == fit.max(axis=1, keepdims=True)
+        rows = np.arange(ids.shape[0])
+        imit = np.zeros((ids.shape[0], self.table.size))
+        np.add.at(imit, (rows[:, None], ids), top / top.sum(axis=1, keepdims=True))
         probs = np.asarray(self.params.revision_probs)
         out = probs[:, None] * (
-            (1.0 - eps) * imit[None, :] + eps * self._disk_unif[ids]
+            (1.0 - eps) * imit[:, None, :] + eps * self._disk_unif[ids]
         )
-        out[np.arange(self.n_agents), ids] += 1.0 - probs
+        out[rows[:, None], np.arange(self.n_agents), ids] += 1.0 - probs
         return out
 
 
@@ -275,9 +241,11 @@ class LocalizedChain(_ChainModel):
         self.params = params
         self._probs = np.asarray(params.neighbor_probs)
 
-    def _copy_dists(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        N, K = self.n_agents, self.table.size
-        out = np.zeros((N, K))
+    def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
+        N = self.n_agents
+        fit = self.table.fitness_scaled_ids(ids)
+        rows = np.arange(ids.shape[0])
+        copy = np.zeros((ids.shape[0], N, self.table.size))
         for i in range(N):
             others = [j for j in range(N) if j != i]
             for included in itertools.product([False, True], repeat=N - 1):
@@ -290,26 +258,11 @@ class LocalizedChain(_ChainModel):
                         members.append(j)
                 if weight == 0.0:
                     continue
-                members = np.array(members)
-                local = fit[members]
-                best = members[local == local.max()]
-                np.add.at(out[i], ids[best], weight / best.size)
-        return out
-
-    def _zero_cost_mask(self, ids: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        N, K = self.n_agents, self.table.size
-        mask = np.zeros((N, K), dtype=bool)
-        for i in range(N):
-            forced = [j for j in range(N) if j != i and self._probs[i, j] >= 1.0]
-            floor = max(fit[j] for j in forced + [i])
-            mask[i, ids[fit >= floor]] = True
-        return mask
-
-    def _mutation_mask(self, ids: np.ndarray) -> np.ndarray:
-        return np.ones((self.n_agents, self.table.size), dtype=bool)
-
-    def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
-        copy = self._copy_dists(ids, self.table.fitness_scaled_ids(ids))
+                local = fit[:, members]
+                best = local == local.max(axis=1, keepdims=True)
+                share = weight / best.sum(axis=1)
+                for col, j in enumerate(members):
+                    copy[rows, i, ids[:, j]] += np.where(best[:, col], share, 0.0)
         return (1.0 - eps) * copy + eps / self.table.size
 
 
@@ -367,37 +320,14 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     return mu / mu.sum()
 
 
-def _power_stationary(kernel: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    mu = np.full(kernel.shape[0], 1.0 / kernel.shape[0])
-    for _ in range(max_iter):
-        nxt = mu @ kernel
-        if np.abs(nxt - mu).sum() <= tol:
-            return nxt / nxt.sum()
-        mu = nxt
-    raise ConvergenceError(
-        f"power iteration did not reach an L1 residual of {tol} within {max_iter} iterations"
-    )
-
-
-def stationary(
-    kernel: np.ndarray,
-    tol: float = 1e-12,
-    method: str = "gth",
-    max_iter: int = 10**6,
-) -> np.ndarray:
+def stationary(kernel: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Unique stationary distribution of an irreducible aperiodic kernel.
 
-    ``method="gth"`` (default) is a direct elimination, exact to roundoff
-    regardless of the spectral gap; ``method="power"`` iterates mu <- mu K
-    until the L1 residual drops below tol and raises ConvergenceError at the
-    iteration cap. Both results are residual-checked.
+    A direct GTH elimination, exact to roundoff regardless of the spectral
+    gap; the result is residual-checked and raises ConvergenceError when the
+    L1 residual exceeds max(tol, 1e-9).
     """
-    if method == "gth":
-        mu = _gth_stationary(kernel)
-    elif method == "power":
-        mu = _power_stationary(kernel, tol, max_iter)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    mu = _gth_stationary(kernel)
     residual = float(np.abs(mu @ kernel - mu).sum())
     if residual > max(tol, 1e-9):
         raise ConvergenceError(f"stationary residual {residual} above tolerance")

@@ -309,9 +309,13 @@ class LanguageTable:
         return self._disks[d]
 
     def fitness_scaled_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Scaled fitness of every agent in a profile given as an id vector."""
-        pair = self.payoff[ids[:, None], ids[None, :]]
-        return pair.sum(axis=1, dtype=np.int64) - self.payoff[ids, ids]
+        """Scaled fitness of every agent in a profile given as an id vector.
+
+        Also accepts a batch of profiles, shape (..., N); each profile along
+        the last axis is scored independently.
+        """
+        pair = self.payoff[ids[..., :, None], ids[..., None, :]]
+        return pair.sum(axis=-1, dtype=np.int64) - self.payoff[ids, ids]
 
     def language(self, lid: int) -> Language:
         return Language.from_id(self.m, self.n, int(lid))

@@ -85,3 +85,42 @@ def test_disconnected_raises():
     w[0, 1] = 1.0  # node 2 has no edges at all
     with pytest.raises(ValueError):
         min_in_arborescence(w, 1)
+
+
+@pytest.mark.parametrize("trial", range(16))
+def test_matches_networkx_edmonds(trial):
+    # verify runs Edmonds on 16 to 72 classes, beyond brute-force reach; small
+    # integer weights make ties common, and dropping most edges makes the
+    # cheapest in-edges form cycles that the contraction has to resolve
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2000 + trial)
+    n = int(rng.integers(16, 41))
+    w = rng.integers(1, 10, size=(n, n)).astype(float)
+    w[rng.random((n, n)) < 0.6] = np.inf
+    np.fill_diagonal(w, np.inf)
+    for root in rng.choice(n, size=3, replace=False):
+        # successor edges v -> u become u -> v, so the in-tree into root is
+        # an out-arborescence from root; dropping root's outgoing edges of w
+        # leaves root no in-edge in the reversed graph, forcing it as the root
+        reversed_graph = nx.DiGraph()
+        reversed_graph.add_nodes_from(range(n))
+        reversed_graph.add_weighted_edges_from(
+            (int(u), int(v), w[v, u]) for v, u in zip(*np.nonzero(np.isfinite(w))) if v != root
+        )
+        try:
+            tree = nx.algorithms.tree.branchings.minimum_spanning_arborescence(reversed_graph)
+        except nx.NetworkXException:
+            with pytest.raises(ValueError):
+                min_in_arborescence(w, int(root))
+            continue
+        expected = tree.size(weight="weight")
+        total, successor = min_in_arborescence(w, int(root))
+        assert total == expected
+        assert set(successor) == set(range(n)) - {int(root)}
+        assert total == sum(w[v, u] for v, u in successor.items())
+        for v in successor:
+            seen, x = set(), v
+            while x != root:
+                assert x not in seen
+                seen.add(x)
+                x = successor[x]

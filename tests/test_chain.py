@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from signalgame.arborescence import min_in_arborescence
 from signalgame.chain import (
@@ -23,7 +24,7 @@ from signalgame.dynamics import (
     _step_imitation_ids,
     _step_localized_ids,
 )
-from signalgame.errors import CapExceededError, ConvergenceError
+from signalgame.errors import CapExceededError
 from signalgame.languages import Language, get_table, language_count, permute
 
 
@@ -221,6 +222,55 @@ class TestStepResistance:
             assert abs(slope - r) <= 0.1 * max(r, 1.0)
 
 
+def derived_layer_chains(table):
+    """Both dynamics at N=2, with uniform and with non-uniform parameters."""
+    return [
+        ImitationChain(table, ImitationParams.uniform(epsilon=0.05, d=2, N=2, p=0.3)),
+        ImitationChain(table, ImitationParams(epsilon=0.05, d=1, revision_probs=(0.2, 0.7))),
+        LocalizedChain(table, LocalParams.uniform(epsilon=0.05, N=2, p=0.5)),
+        LocalizedChain(table, LocalParams(epsilon=0.05, neighbor_probs=((0.5, 1.0), (0.35, 0.5)))),
+    ]
+
+
+class TestDerivedLayer:
+    """The dense kernel, resistance matrix and classes against the single-pair
+    operations they are derived from, entry by entry."""
+
+    @pytest.fixture(params=range(4), ids=["imitation", "imitation-nonuniform",
+                                          "localized", "localized-forced"])
+    def chain(self, request, table22):
+        return derived_layer_chains(table22)[request.param]
+
+    def _pairs(self, space):
+        rng = np.random.default_rng(33)
+        sampled = rng.integers(0, space.size, size=(2000, 2))
+        homogeneous = space.encode((7, 7))
+        row = np.stack([np.full(space.size, homogeneous), np.arange(space.size)], axis=1)
+        return np.vstack([sampled, row])
+
+    def test_kernel_matches_transition_prob(self, chain, table22):
+        space = StateSpace(table22, 2)
+        kernel = chain.kernel(0.05)
+        for v, w in self._pairs(space):
+            expected = chain.transition_prob(space.decode(v), space.decode(w), 0.05)
+            assert abs(kernel[v, w] - expected) <= 1e-15 * expected
+
+    def test_resistance_matrix_matches_step_resistance(self, chain, table22):
+        space = StateSpace(table22, 2)
+        R = chain.resistance_matrix()
+        for v, w in self._pairs(space):
+            assert R[v, w] == chain.step_resistance(space.decode(v), space.decode(w))
+
+    def test_classes_are_closed_communicating_sets(self, chain):
+        free = chain.resistance_matrix() == 0
+        for cls in chain.recurrent_classes():
+            inside = np.zeros(free.shape[0], dtype=bool)
+            inside[cls] = True
+            assert not free[np.ix_(inside, ~inside)].any()
+            n_comps, _ = connected_components(free[np.ix_(inside, inside)], connection="strong")
+            assert n_comps == 1
+
+
 class TestLeastResistance:
     def test_diagonal_zero(self, resistance223):
         assert np.all(np.diagonal(resistance223.r) == 0)
@@ -286,16 +336,13 @@ class TestStationary:
         rng = np.random.default_rng(9)
         kernel = rng.random((40, 40)) + 0.05
         kernel /= kernel.sum(axis=1, keepdims=True)
-        gth = stationary(kernel, method="gth")
-        power = stationary(kernel, tol=1e-13, method="power")
-        assert np.abs(gth - power).sum() < 1e-11
-
-    def test_power_nonconvergence_raises(self):
-        # asymmetric and glacially mixing: the uniform start is far from the
-        # (2/3, 1/3) stationary vector and the residual shrinks at 1e-9 per step
-        kernel = np.array([[1 - 1e-9, 1e-9], [2e-9, 1 - 2e-9]])
-        with pytest.raises(ConvergenceError):
-            stationary(kernel, tol=1e-13, method="power", max_iter=500)
+        gth = stationary(kernel)
+        # independent dense solve of mu (K - I) = 0 with sum(mu) = 1
+        system = np.vstack([(kernel - np.eye(40)).T, np.ones(40)])
+        rhs = np.zeros(41)
+        rhs[-1] = 1.0
+        dense = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        assert np.abs(gth - dense).sum() < 1e-12
 
     def test_residual_and_normalization(self, imitation223):
         kernel = imitation223.kernel(0.05)
@@ -303,10 +350,6 @@ class TestStationary:
         assert abs(mu.sum() - 1.0) < 1e-12
         assert np.abs(mu @ kernel - mu).sum() < 1e-12
         assert mu.min() > 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            stationary(np.eye(2), method="magic")
 
 
 class TestStochasticPotential:

@@ -349,6 +349,15 @@ class TestLanguageTable:
         expected = [fitness_scaled(profile, i) for i in range(4)]
         assert table.fitness_scaled_ids(ids).tolist() == expected
 
+    def test_fitness_ids_batch(self):
+        table = get_table(3, 3)
+        rng = np.random.default_rng(2)
+        batch = rng.integers(0, table.size, size=(50, 4))
+        scores = table.fitness_scaled_ids(batch)
+        assert scores.shape == batch.shape
+        for ids, row in zip(batch, scores):
+            assert row.tolist() == table.fitness_scaled_ids(ids).tolist()
+
     def test_cap(self):
         with pytest.raises(ValueError):
             LanguageTable(4, 4, max_languages=1000)
