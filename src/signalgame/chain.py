@@ -7,8 +7,9 @@ one-step kernel is its product over agents, and the one-step resistances
 (the epsilon-exponent of each transition) are sums over agents of
 per-agent exponents read off the same distribution, which is affine in
 epsilon. On top runs the machinery of stochastic stability: recurrent
-classes of the unperturbed chain, least resistances between classes via
-min-plus relaxation over the full state space, stochastic potentials via
+classes of the unperturbed chain, least resistances between classes via a
+level-set search over the full state space (resistances are small
+integers, so distances grow one level at a time), stochastic potentials via
 minimum spanning arborescences, and stationary distributions of the
 perturbed chain for epsilon sweeps.
 
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .arborescence import min_in_arborescence
@@ -36,6 +38,12 @@ DEFAULT_MAX_STATES = 100_000
 TRACTABLE_PRESETS = ((2, 2, 2), (2, 2, 3))
 
 _INF = float("inf")
+# Entries of one row block of the resistance matrix in the least-resistance search.
+_BLOCK_ENTRIES = 1 << 21
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class StateSpace:
@@ -140,8 +148,12 @@ class _ChainModel:
         return float(cost[np.arange(self.n_agents), new_ids].sum())
 
     def kernel(self, eps: float, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
-        """Dense one-step transition matrix at a fixed epsilon."""
+        """Dense one-step transition matrix at a fixed epsilon. Raises CapExceededError
+        before allocating if it and the GTH working copy exceed physical memory."""
         space = StateSpace(self.table, self.n_agents, max_states)
+        if 2 * space.size**2 * 8 > _physical_memory():
+            raise CapExceededError(f"a dense kernel on {space.size} states and its GTH "
+                                   "working copy would not fit in physical memory")
         return _outer(self.per_agent_dists(space.all_ids(), eps), np.multiply)
 
     def resistance_matrix(self, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
@@ -149,24 +161,23 @@ class _ChainModel:
         space = StateSpace(self.table, self.n_agents, max_states)
         return _outer(self._resistances(space.all_ids()), np.add)
 
-    def recurrent_classes(self, max_states: int = DEFAULT_MAX_STATES) -> list[list[int]]:
-        """Closed communication classes of the unperturbed (eps=0) chain.
-
-        The zero-resistance edges are grown sparsely, one agent at a time:
-        each partial edge is extended by every language that agent can adopt
-        at epsilon 0.
-        """
-        space = StateSpace(self.table, self.n_agents, max_states)
-        K = self.table.size
-        free = self.per_agent_dists(space.all_ids(), 0.0) > 0.0
-        srcs = np.arange(space.size)
-        dsts = np.zeros(space.size, dtype=np.int64)
+    def _free_graph(self, free: np.ndarray) -> csr_matrix:
+        """Sparse (V, V) graph of the zero-resistance moves, from the (V, N, K)
+        mask of free per-agent moves. Edges grow one agent at a time: each
+        partial edge is extended by every language that agent can adopt."""
+        srcs = np.arange(free.shape[0])
+        dsts = np.zeros(free.shape[0], dtype=np.int64)
         for i in range(self.n_agents):
             edge, lid = np.nonzero(free[srcs, i])
-            srcs, dsts = srcs[edge], dsts[edge] * K + lid
-        graph = coo_matrix(
-            (np.ones(srcs.size, dtype=np.int8), (srcs, dsts)), shape=(space.size, space.size)
-        ).tocsr()
+            srcs, dsts = srcs[edge], dsts[edge] * self.table.size + lid
+        shape = (free.shape[0], free.shape[0])
+        return csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)), shape=shape)
+
+    def recurrent_classes(self, max_states: int = DEFAULT_MAX_STATES) -> list[list[int]]:
+        """Closed communication classes of the unperturbed (eps=0) chain."""
+        space = StateSpace(self.table, self.n_agents, max_states)
+        graph = self._free_graph(self.per_agent_dists(space.all_ids(), 0.0) > 0.0)
+        srcs, dsts = graph.nonzero()
         n_comps, labels = connected_components(graph, directed=True, connection="strong")
         leaving = labels[srcs] != labels[dsts]
         open_comps = np.zeros(n_comps, dtype=bool)
@@ -181,27 +192,45 @@ class _ChainModel:
     ) -> "ResistanceGraph":
         """Least path resistance between every ordered pair of recurrent classes.
 
-        Paths run through the full state space, so a single mutation followed
-        by any amount of unperturbed flow is automatically a resistance-1
-        path. Distances are found by min-plus relaxation to a fixed point.
+        Paths run through the full state space, so a single mutation followed by
+        any amount of unperturbed flow is automatically a resistance-1 path. All
+        classes are searched at once, one integer level at a time: a state is at
+        distance L from a class when a move of resistance c <= min(L, N) leads to
+        a state at distance <= L - c, or a zero-resistance path leads to such a
+        state. Each level takes one boolean matrix product per c over row blocks
+        of the resistance matrix, which is never held whole. No move costs more
+        than N, so the search stops after N levels in a row that add no state.
         """
         classes = self.recurrent_classes(max_states)
-        R = self.resistance_matrix(max_states)
-        J = len(classes)
-        r = np.zeros((J, J))
+        space = StateSpace(self.table, self.n_agents, max_states)
+        V, N = space.size, self.n_agents
+        res = self._resistances(space.all_ids())
+        free = self._free_graph(res == 0)
+        # Impossible per-agent moves cost N + 1, so their sums exceed N without overflowing.
+        cost = np.where(np.isfinite(res), res, N + 1).astype(np.min_scalar_type(N * (N + 1)))
+        unreached = np.iinfo(np.int32).max
+        dist = np.full((V, len(classes)), unreached, dtype=np.int32)
+        new = np.zeros(dist.shape, dtype=bool)
         for j, cls in enumerate(classes):
-            dist = np.full(R.shape[0], np.float32(_INF))
-            dist[cls] = 0.0
-            for _ in range(R.shape[0] + 1):
-                relaxed = np.minimum(dist, (R + dist[None, :]).min(axis=1))
-                if np.array_equal(relaxed, dist):
-                    break
-                dist = relaxed
-            else:
-                raise RuntimeError("min-plus relaxation failed to reach a fixed point")
-            for i, cls_i in enumerate(classes):
-                r[i, j] = dist[cls_i].min()
-        return ResistanceGraph(classes=classes, r=r, space=StateSpace(self.table, self.n_agents, max_states))
+            new[cls, j] = True
+        rows, level, idle = max(1, _BLOCK_ENTRIES // V), 0, 0
+        while True:
+            idle = 0 if new.any() else idle + 1
+            while new.any():  # zero-resistance closure
+                dist[new] = level
+                new = (free @ new > 0) & (dist == unreached)
+            open_rows = np.flatnonzero((dist == unreached).any(axis=1))
+            if idle == N or open_rows.size == 0:
+                break
+            level += 1
+            within = [(dist <= level - c).astype(np.float32) for c in range(1, min(level, N) + 1)]
+            for at in np.split(open_rows, range(rows, open_rows.size, rows)):
+                block = _outer(cost[at], np.add)
+                for c, target in enumerate(within, 1):
+                    new[at] |= (block <= c).astype(np.float32) @ target > 0
+            new &= dist == unreached
+        r = np.array([dist[cls].min(axis=0) for cls in classes])
+        return ResistanceGraph(classes=classes, r=np.where(r == unreached, _INF, r), space=space)
 
 
 class ImitationChain(_ChainModel):
@@ -420,21 +449,7 @@ class VerifyReport:
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        payload = {
-            "params": self.params,
-            "state_count": self.state_count,
-            "classes": self.classes,
-            "class_states": self.class_states,
-            "classes_homogeneous": self.classes_homogeneous,
-            "resistances": self.resistances,
-            "gamma": self.gamma,
-            "stable_set": self.stable_set,
-            "optimal_set": self.optimal_set,
-            "epsilon_sweep": self.epsilon_sweep,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def optimal_state_indices(space: StateSpace) -> np.ndarray:

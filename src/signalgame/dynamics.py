@@ -135,28 +135,6 @@ def _step_localized_ids(
     return new
 
 
-def step_imitation(
-    profile: Profile, params: ImitationParams, rng: np.random.Generator
-) -> Profile:
-    """One synchronous step of the global imitation-with-mutation process."""
-    if params.n_agents != profile.n_agents:
-        raise ValueError("params sized for a different number of agents")
-    table = get_table(profile.m, profile.n)
-    ids = np.asarray(profile.ids(), dtype=np.int64)
-    return Profile.from_ids(profile.m, profile.n, _step_imitation_ids(ids, table, params, rng))
-
-
-def step_localized(
-    profile: Profile, params: LocalParams, rng: np.random.Generator
-) -> Profile:
-    """One synchronous step of the localized competition process."""
-    if params.n_agents != profile.n_agents:
-        raise ValueError("params sized for a different number of agents")
-    table = get_table(profile.m, profile.n)
-    ids = np.asarray(profile.ids(), dtype=np.int64)
-    return Profile.from_ids(profile.m, profile.n, _step_localized_ids(ids, table, params, rng))
-
-
 def fraction_aligned(profile: Profile) -> Fraction:
     """Share of agents currently using an aligned language."""
     table = get_table(profile.m, profile.n)

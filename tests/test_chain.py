@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from signalgame import chain as chain_module
 from signalgame.arborescence import min_in_arborescence
 from signalgame.chain import (
     ImitationChain,
     LocalizedChain,
     ResistanceGraph,
     StateSpace,
+    _ChainModel,
     optimal_state_indices,
     stationary,
     stochastic_potential,
@@ -271,7 +274,68 @@ class TestDerivedLayer:
             assert n_comps == 1
 
 
+def min_plus_least_resistance(chain):
+    """Reference least resistances: min-plus relaxation of the dense resistance
+    matrix to a fixed point, one class at a time."""
+    classes = chain.recurrent_classes()
+    R = chain.resistance_matrix()
+    r = np.empty((len(classes), len(classes)))
+    for j, cls in enumerate(classes):
+        dist = np.full(R.shape[0], np.inf, dtype=np.float32)
+        dist[cls] = 0.0
+        while not np.array_equal(relaxed := np.minimum(dist, (R + dist).min(axis=1)), dist):
+            dist = relaxed
+        r[:, j] = [dist[c].min() for c in classes]
+    return r
+
+
+class RaiseTheMinimumChain(_ChainModel):
+    """K=4 languages, N=3 agents. Every agent copies the smallest language
+    present; with probability eps it instead moves one language up, and
+    language 3 never mutates. An agent above the minimum cannot keep its
+    language, so most one-step moves are impossible, and raising a
+    homogeneous state by one language takes 3 simultaneous mutations."""
+
+    def __init__(self):
+        super().__init__(SimpleNamespace(size=4), 3)
+
+    def per_agent_dists(self, ids, eps):
+        rows, agents = np.indices(ids.shape)
+        copy = np.zeros(ids.shape + (4,))
+        copy[rows, agents, ids.min(axis=1, keepdims=True)] = 1.0
+        mutate = np.zeros(ids.shape + (4,))
+        mutate[rows, agents, np.minimum(ids + 1, 3)] = 1.0
+        top = (ids == 3)[..., None]
+        return np.where(top, copy, (1.0 - eps) * copy + eps * mutate)
+
+
 class TestLeastResistance:
+    @pytest.mark.parametrize("index", range(4), ids=["imitation", "imitation-nonuniform",
+                                                     "localized", "localized-forced"])
+    def test_matches_min_plus_small(self, table22, index):
+        chain = derived_layer_chains(table22)[index]
+        assert np.array_equal(chain.least_resistance().r, min_plus_least_resistance(chain))
+
+    def test_matches_min_plus_imitation223(self, imitation223, resistance223):
+        assert np.array_equal(resistance223.r, min_plus_least_resistance(imitation223))
+
+    def test_matches_min_plus_localized223(self, table22):
+        chain = LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5))
+        assert np.array_equal(chain.least_resistance().r, min_plus_least_resistance(chain))
+
+    def test_gaps_above_n_and_impossible_moves(self):
+        # Levels 1 and 2 add no state, class 0 is 9 levels from class 3, and
+        # no class can move down: the search must cross idle levels, carry
+        # distances above N and stop with infinite entries.
+        chain = RaiseTheMinimumChain()
+        rg = chain.least_resistance()
+        assert rg.classes == [[0], [21], [42], [63]]
+        expected = np.full((4, 4), np.inf)
+        for i in range(4):
+            expected[i, i:] = 3 * np.arange(4 - i)
+        assert np.array_equal(rg.r, expected)
+        assert np.array_equal(rg.r, min_plus_least_resistance(chain))
+
     def test_diagonal_zero(self, resistance223):
         assert np.all(np.diagonal(resistance223.r) == 0)
 
@@ -321,6 +385,17 @@ class TestLeastResistance:
         mu = stationary(imitation223.kernel(0.01))
         assert mu[stable_states].sum() > 0.8
         assert sorted(np.argsort(mu)[-len(stable_states):].tolist()) == sorted(stable_states)
+
+
+class TestKernelMemoryCheck:
+    def test_refuses_a_kernel_above_physical_memory(self, table22, monkeypatch):
+        chain = ImitationChain(table22, ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3))
+        need = 2 * 256**2 * 8
+        monkeypatch.setattr(chain_module, "_physical_memory", lambda: need - 1)
+        with pytest.raises(CapExceededError, match="physical memory"):
+            chain.kernel(0.1)
+        monkeypatch.setattr(chain_module, "_physical_memory", lambda: need)
+        assert chain.kernel(0.1).shape == (256, 256)
 
 
 class TestStationary:

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from signalgame import cli
+from signalgame import chain, cli
 from signalgame.chain import VerifyReport
+
+
+def _perfbench_workloads():
+    """The benchmark's workload module, which imports nothing from signalgame."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 EXPECTED_PRESETS = {
@@ -138,6 +151,15 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_report_matches_benchmark_reference(self, tmp_path, capsys, dynamic):
+        workloads = _perfbench_workloads()
+        argv = ["verify", *workloads.VERIFY_ARGS[dynamic], "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        expected = (workloads.REFS / f"verify_{dynamic}.json").read_bytes()
+        assert (tmp_path / "verify_report.json").read_bytes() == expected
+
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["verify", "--m", "two"]) == 1
         capsys.readouterr()
@@ -161,6 +183,13 @@ class TestSweepCommand:
         assert len(lines) == 3
         eps_col = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps_col == [0.1, 0.05]
+
+    def test_kernel_above_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(chain, "_physical_memory", lambda: 2 * 256**2 * 8 - 1)
+        code = cli.main(["sweep", "--m", "2", "--n", "2", "--N", "2", "--d", "2",
+                         "--eps-list", "0.1", "--out", str(tmp_path / "sweep")])
+        assert code == 3
+        assert "physical memory" in capsys.readouterr().err
 
 
 class TestReplicatorCommand:

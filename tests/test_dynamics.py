@@ -14,8 +14,6 @@ from signalgame.dynamics import (
     fraction_aligned,
     random_profile_ids,
     run,
-    step_imitation,
-    step_localized,
 )
 from signalgame.languages import Language, Profile, trace_raising_neighbor, get_table
 
@@ -44,11 +42,12 @@ class TestParams:
 
 class TestStepImitation:
     def test_homogeneous_absorbing_without_mutation(self):
+        table = get_table(2, 2)
         params = ImitationParams.uniform(epsilon=0.0, d=2, N=4, p=0.5)
-        profile = Profile((POOLING,) * 4)
+        ids = np.full(4, POOLING.id)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert step_imitation(profile, params, rng) == profile
+            assert _step_imitation_ids(ids, table, params, rng).tolist() == ids.tolist()
 
     def test_reaches_homogeneous_from_any_start(self):
         table = get_table(2, 2)
@@ -149,11 +148,12 @@ class TestStepImitation:
 
 class TestStepLocalized:
     def test_homogeneous_absorbing(self):
+        table = get_table(2, 2)
         params = LocalParams.uniform(epsilon=0.0, N=3, p=0.5)
-        profile = Profile((SWAPPED,) * 3)
+        ids = np.full(3, SWAPPED.id)
         rng = np.random.default_rng(5)
         for _ in range(200):
-            assert step_localized(profile, params, rng) == profile
+            assert _step_localized_ids(ids, table, params, rng).tolist() == ids.tolist()
 
     def test_full_neighbourhoods_imitate_global_argmax(self):
         # with p_ij = 1 and a unique fittest agent, one step conforms everyone
