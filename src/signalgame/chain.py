@@ -24,6 +24,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,7 +33,7 @@ from scipy.sparse.csgraph import connected_components
 from .arborescence import min_in_arborescence
 from .dynamics import ImitationParams, LocalParams
 from .errors import CapExceededError, ConvergenceError
-from .languages import LanguageTable, get_table
+from .languages import LanguageTable
 
 DEFAULT_MAX_STATES = 100_000
 TRACTABLE_PRESETS = ((2, 2, 2), (2, 2, 3))
@@ -109,9 +110,15 @@ class _ChainModel:
     and inf where it is always zero.
     """
 
-    def __init__(self, table: LanguageTable, n_agents: int):
+    def __init__(self, table: LanguageTable, n_agents: int, max_states: int = DEFAULT_MAX_STATES):
         self.table = table
         self.n_agents = n_agents
+        self._max_states = max_states
+
+    @cached_property
+    def space(self) -> StateSpace:
+        """The full state space; built, and checked against the cap, on first use."""
+        return StateSpace(self.table, self.n_agents, self._max_states)
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         """(V, N, K) next-language distribution per agent for (V, N) states."""
@@ -129,11 +136,9 @@ class _ChainModel:
 
     # -- public operations ---------------------------------------------------
 
-    def transition_row(
-        self, ids, eps: float, max_states: int = DEFAULT_MAX_STATES
-    ) -> np.ndarray:
+    def transition_row(self, ids, eps: float) -> np.ndarray:
         """Exact one-step distribution over all state indices."""
-        StateSpace(self.table, self.n_agents, max_states)  # raises above the cap
+        self.space  # raises above the cap
         dists = self.per_agent_dists(np.asarray(ids, dtype=np.int64)[None], eps)
         return _outer(dists, np.multiply)[0]
 
@@ -147,19 +152,17 @@ class _ChainModel:
         cost = self._resistances(np.asarray(ids, dtype=np.int64)[None])[0]
         return float(cost[np.arange(self.n_agents), new_ids].sum())
 
-    def kernel(self, eps: float, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
+    def kernel(self, eps: float) -> np.ndarray:
         """Dense one-step transition matrix at a fixed epsilon. Raises CapExceededError
         before allocating if it and the GTH working copy exceed physical memory."""
-        space = StateSpace(self.table, self.n_agents, max_states)
-        if 2 * space.size**2 * 8 > _physical_memory():
-            raise CapExceededError(f"a dense kernel on {space.size} states and its GTH "
+        if 2 * self.space.size**2 * 8 > _physical_memory():
+            raise CapExceededError(f"a dense kernel on {self.space.size} states and its GTH "
                                    "working copy would not fit in physical memory")
-        return _outer(self.per_agent_dists(space.all_ids(), eps), np.multiply)
+        return _outer(self.per_agent_dists(self.space.all_ids(), eps), np.multiply)
 
-    def resistance_matrix(self, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
+    def resistance_matrix(self) -> np.ndarray:
         """(V, V) float32 matrix of one-step resistances (inf = impossible)."""
-        space = StateSpace(self.table, self.n_agents, max_states)
-        return _outer(self._resistances(space.all_ids()), np.add)
+        return _outer(self._resistances(self.space.all_ids()), np.add)
 
     def _free_graph(self, free: np.ndarray) -> csr_matrix:
         """Sparse (V, V) graph of the zero-resistance moves, from the (V, N, K)
@@ -173,10 +176,9 @@ class _ChainModel:
         shape = (free.shape[0], free.shape[0])
         return csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)), shape=shape)
 
-    def recurrent_classes(self, max_states: int = DEFAULT_MAX_STATES) -> list[list[int]]:
+    def recurrent_classes(self) -> list[list[int]]:
         """Closed communication classes of the unperturbed (eps=0) chain."""
-        space = StateSpace(self.table, self.n_agents, max_states)
-        graph = self._free_graph(self.per_agent_dists(space.all_ids(), 0.0) > 0.0)
+        graph = self._free_graph(self.per_agent_dists(self.space.all_ids(), 0.0) > 0.0)
         srcs, dsts = graph.nonzero()
         n_comps, labels = connected_components(graph, directed=True, connection="strong")
         leaving = labels[srcs] != labels[dsts]
@@ -187,9 +189,7 @@ class _ChainModel:
         cuts = np.flatnonzero(np.diff(labels[closed])) + 1
         return sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
 
-    def least_resistance(
-        self, max_states: int = DEFAULT_MAX_STATES
-    ) -> "ResistanceGraph":
+    def least_resistance(self) -> "ResistanceGraph":
         """Least path resistance between every ordered pair of recurrent classes.
 
         Paths run through the full state space, so a single mutation followed by
@@ -201,8 +201,7 @@ class _ChainModel:
         of the resistance matrix, which is never held whole. No move costs more
         than N, so the search stops after N levels in a row that add no state.
         """
-        classes = self.recurrent_classes(max_states)
-        space = StateSpace(self.table, self.n_agents, max_states)
+        classes, space = self.recurrent_classes(), self.space
         V, N = space.size, self.n_agents
         res = self._resistances(space.all_ids())
         free = self._free_graph(res == 0)
@@ -236,9 +235,13 @@ class _ChainModel:
 class ImitationChain(_ChainModel):
     """Exact chain of the global imitation-with-mutation dynamics."""
 
-    def __init__(self, table: LanguageTable, params: ImitationParams):
-        super().__init__(table, params.n_agents)
+    dynamic = "imitation"
+
+    def __init__(self, table: LanguageTable, params: ImitationParams,
+                 max_states: int = DEFAULT_MAX_STATES):
+        super().__init__(table, params.n_agents, max_states)
         self.params = params
+        self._probs = np.asarray(params.revision_probs)
         self._disk_unif = np.zeros((table.size, table.size))
         for lid, members in enumerate(table.disks(params.d)):
             self._disk_unif[lid, members] = 1.0 / members.size
@@ -249,11 +252,10 @@ class ImitationChain(_ChainModel):
         rows = np.arange(ids.shape[0])
         imit = np.zeros((ids.shape[0], self.table.size))
         np.add.at(imit, (rows[:, None], ids), top / top.sum(axis=1, keepdims=True))
-        probs = np.asarray(self.params.revision_probs)
-        out = probs[:, None] * (
+        out = self._probs[:, None] * (
             (1.0 - eps) * imit[:, None, :] + eps * self._disk_unif[ids]
         )
-        out[rows[:, None], np.arange(self.n_agents), ids] += 1.0 - probs
+        out[rows[:, None], np.arange(self.n_agents), ids] += 1.0 - self._probs
         return out
 
 
@@ -265,8 +267,11 @@ class LocalizedChain(_ChainModel):
     language set.
     """
 
-    def __init__(self, table: LanguageTable, params: LocalParams):
-        super().__init__(table, params.n_agents)
+    dynamic = "localized"
+
+    def __init__(self, table: LanguageTable, params: LocalParams,
+                 max_states: int = DEFAULT_MAX_STATES):
+        super().__init__(table, params.n_agents, max_states)
         self.params = params
         self._probs = np.asarray(params.neighbor_probs)
 
@@ -296,11 +301,12 @@ class LocalizedChain(_ChainModel):
 
 
 def make_chain(
-    table: LanguageTable, params: ImitationParams | LocalParams
+    table: LanguageTable, params: ImitationParams | LocalParams,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> _ChainModel:
     if isinstance(params, ImitationParams):
-        return ImitationChain(table, params)
-    return LocalizedChain(table, params)
+        return ImitationChain(table, params, max_states)
+    return LocalizedChain(table, params, max_states)
 
 
 # -- stationary distributions -------------------------------------------------
@@ -349,16 +355,16 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     return mu / mu.sum()
 
 
-def stationary(kernel: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def stationary(kernel: np.ndarray) -> np.ndarray:
     """Unique stationary distribution of an irreducible aperiodic kernel.
 
     A direct GTH elimination, exact to roundoff regardless of the spectral
     gap; the result is residual-checked and raises ConvergenceError when the
-    L1 residual exceeds max(tol, 1e-9).
+    L1 residual exceeds 1e-9.
     """
     mu = _gth_stationary(kernel)
     residual = float(np.abs(mu @ kernel - mu).sum())
-    if residual > max(tol, 1e-9):
+    if residual > 1e-9:
         raise ConvergenceError(f"stationary residual {residual} above tolerance")
     return mu
 
@@ -459,22 +465,18 @@ def optimal_state_indices(space: StateSpace) -> np.ndarray:
     return np.asarray([int(lid) * factor for lid in space.table.aligned_ids])
 
 
-def sweep_stationary(
-    model: _ChainModel,
-    epsilons,
-    max_states: int = DEFAULT_MAX_STATES,
-    tol: float = 1e-12,
-) -> list[dict]:
-    """Exact stationary solve per epsilon with mass bookkeeping on optimal states."""
-    space = StateSpace(model.table, model.n_agents, max_states)
-    optimal = optimal_state_indices(space)
-    rows = []
+def sweep_stationary(model: _ChainModel, epsilons) -> list[dict]:
+    """Exact stationary solve per epsilon with mass bookkeeping on optimal states.
+
+    Every epsilon is validated before the first kernel is built.
+    """
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"sweep epsilons must lie in (0, 1), got {eps}")
-        kernel = model.kernel(eps, max_states)
-        mu = stationary(kernel, tol=tol)
-        del kernel
+    optimal = optimal_state_indices(model.space)
+    rows = []
+    for eps in epsilons:
+        mu = stationary(model.kernel(eps))
         top = int(mu.argmax())
         rows.append(
             {
@@ -488,41 +490,27 @@ def sweep_stationary(
     return rows
 
 
-def verify_stability(
-    m: int,
-    n: int,
-    N: int,
-    *,
-    dynamic: str = "imitation",
-    d: int = 2,
-    revision_prob: float = 0.3,
-    neighbor_prob: float = 0.5,
-    epsilons=(),
-    max_states: int = DEFAULT_MAX_STATES,
-    tol: float = 1e-12,
-) -> VerifyReport:
-    """Run the full stochastic-stability pipeline on one instance.
+def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
+    """Run the full stochastic-stability pipeline on one chain.
 
     The verdict compares the arborescence minimizer set against the optimal
     states; the epsilon sweep, when requested, is numerical corroboration
-    only. N=2 instances are reported as degenerate: the lone-mutant fitness
+    only. It runs first, so a kernel too large for memory fails before the
+    search. N=2 instances are reported as degenerate: the lone-mutant fitness
     gap vanishes there, so the one-mutation characterization has no bite.
+    The report records one revision or neighbour probability, so the chain
+    must use the same one for every agent (pair); ValueError otherwise.
     """
-    table = get_table(m, n)
+    table, N = model.table, model.n_agents
+    imitation = model.dynamic == "imitation"
+    probs = model._probs if imitation else model._probs[~np.eye(N, dtype=bool)]
+    if np.any(probs != probs[0]):
+        raise ValueError("verify needs one probability shared by all agents")
+    prob = float(probs[0])
     epsilons = tuple(epsilons)
-    base_eps = min(epsilons) if epsilons else 0.01
-    if dynamic == "imitation":
-        params: ImitationParams | LocalParams = ImitationParams.uniform(
-            epsilon=base_eps, d=d, N=N, p=revision_prob
-        )
-    elif dynamic == "localized":
-        params = LocalParams.uniform(epsilon=base_eps, N=N, p=neighbor_prob)
-    else:
-        raise ValueError(f"unknown dynamic {dynamic!r}")
-    model = make_chain(table, params)
-    space = StateSpace(table, N, max_states)
+    sweep = sweep_stationary(model, epsilons)
 
-    rg = model.least_resistance(max_states)
+    rg = model.least_resistance()
     sp = stochastic_potential(rg)
     lang_ids = rg.class_language_ids()
     homogeneous = lang_ids is not None
@@ -530,7 +518,6 @@ def verify_stability(
 
     stable = sorted(labels[i] for i in sp.minimizers)
     optimal = sorted(int(x) for x in table.aligned_ids) if homogeneous else []
-    sweep = sweep_stationary(model, epsilons, max_states, tol) if epsilons else []
 
     notes = []
     if N == 2:
@@ -538,7 +525,7 @@ def verify_stability(
             "N=2 is degenerate: a lone mutant always ties the residents, so every "
             "one-mutation transition succeeds and the minimizer set is not informative"
         )
-    if m != n:
+    if table.m != table.n:
         notes.append(
             "m != n: the equality of stable and optimal sets is only fully established "
             "for m = n; treat this report as an empirical finding"
@@ -556,16 +543,16 @@ def verify_stability(
     ]
     return VerifyReport(
         params={
-            "m": m,
-            "n": n,
+            "m": table.m,
+            "n": table.n,
             "N": N,
-            "dynamic": dynamic,
-            "d": d if dynamic == "imitation" else None,
-            "revision_prob": revision_prob if dynamic == "imitation" else None,
-            "neighbor_prob": neighbor_prob if dynamic == "localized" else None,
+            "dynamic": model.dynamic,
+            "d": model.params.d if imitation else None,
+            "revision_prob": prob if imitation else None,
+            "neighbor_prob": None if imitation else prob,
             "epsilons": [float(e) for e in epsilons],
         },
-        state_count=space.size,
+        state_count=model.space.size,
         classes=[int(x) for x in labels],
         class_states=[list(map(int, cls)) for cls in rg.classes],
         classes_homogeneous=homogeneous,

@@ -284,20 +284,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prob = cfg.revision_prob if cfg.dynamic == "imitation" else cfg.neighbor_prob
-    if not isinstance(prob, (int, float)):
-        raise ValueError("verify needs a scalar probability")
-    report = verify_stability(
-        cfg.m,
-        cfg.n,
-        cfg.N,
-        dynamic=cfg.dynamic,
-        d=cfg.d,
-        revision_prob=float(prob) if cfg.dynamic == "imitation" else 0.3,
-        neighbor_prob=float(prob) if cfg.dynamic == "localized" else 0.5,
-        epsilons=cfg.epsilons if cfg.sweep else (),
-        max_states=cfg.max_states,
-    )
+    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg), cfg.max_states)
+    report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
     (out_dir / "verify_report.json").write_text(report.to_json())
     _write_metadata(out_dir, cfg)
     print(report.to_json())
@@ -307,10 +295,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = get_table(cfg.m, cfg.n)
-    params = _make_params(cfg)
-    model = make_chain(table, params)
-    rows = sweep_stationary(model, cfg.epsilons, cfg.max_states)
+    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg), cfg.max_states)
+    rows = sweep_stationary(model, cfg.epsilons)
     lines = ["eps,optimal_mass,top_state_id,top_state_mass"]
     for row in rows:
         lines.append(

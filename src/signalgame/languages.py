@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapExceededError
+
 
 @dataclass(frozen=True)
 class GameParams:
@@ -268,7 +270,7 @@ class LanguageTable:
     def __init__(self, m: int, n: int, max_languages: int = 8192):
         count = language_count(m, n)
         if count > max_languages:
-            raise ValueError(
+            raise CapExceededError(
                 f"language set of size {count} exceeds the cap {max_languages}; "
                 f"(m, n) = ({m}, {n}) is too large to tabulate"
             )

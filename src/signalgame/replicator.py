@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
 from .languages import get_table
-
-DEFAULT_MAX_LANGUAGES = 4096
 
 # A start (m=n=2) from which the flow settles onto a suboptimal rest point:
 # mean fitness 2 instead of the optimum 4, with the terminal field below
@@ -42,13 +39,11 @@ SUBOPTIMAL_REST_X0 = (
 )
 
 
-def payoff_matrix(m: int, n: int, max_languages: int = DEFAULT_MAX_LANGUAGES) -> np.ndarray:
-    """Symmetric K x K matrix of two-way communication payoffs, canonical id order."""
-    count = m**n * n**m
-    if count > max_languages:
-        raise CapExceededError(
-            f"language set of size {count} exceeds the cap {max_languages}"
-        )
+def payoff_matrix(m: int, n: int) -> np.ndarray:
+    """Symmetric K x K matrix of two-way communication payoffs, canonical id order.
+
+    Raises CapExceededError above the language-table cap.
+    """
     return get_table(m, n).payoff.astype(np.int64)
 
 

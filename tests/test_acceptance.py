@@ -82,7 +82,9 @@ def test_criterion_02_trace_raising_exhaustive():
 
 def test_criterion_03_stable_set_imitation():
     start = time.monotonic()
-    report = verify_stability(2, 2, 3, dynamic="imitation", d=2, revision_prob=0.3)
+    report = verify_stability(
+        ImitationChain(get_table(2, 2), ImitationParams.uniform(epsilon=0.01, d=2, N=3, p=0.3))
+    )
     aligned = sorted(int(x) for x in get_table(2, 2).aligned_ids)
     ok = (
         report.verdict == "pass"
@@ -172,7 +174,9 @@ def test_criterion_05_resistance_calculus():
 
 def test_criterion_06_stable_set_localized():
     start = time.monotonic()
-    report = verify_stability(2, 2, 3, dynamic="localized", neighbor_prob=0.5)
+    report = verify_stability(
+        LocalizedChain(get_table(2, 2), LocalParams.uniform(epsilon=0.01, N=3, p=0.5))
+    )
     aligned = sorted(int(x) for x in get_table(2, 2).aligned_ids)
     ok = report.verdict == "pass" and report.stable_set == aligned
     _report(6, "stable set = aligned homogeneous (localized)", ok,

@@ -15,6 +15,7 @@ from signalgame.chain import (
     ResistanceGraph,
     StateSpace,
     _ChainModel,
+    make_chain,
     optimal_state_indices,
     stationary,
     stochastic_potential,
@@ -47,6 +48,12 @@ def resistance223(imitation223):
     return imitation223.least_resistance()
 
 
+def imitation_chain(m, n, N, **kwargs):
+    """The imitation chain verify builds by default: d=2, revision probability 0.3."""
+    return ImitationChain(get_table(m, n), ImitationParams.uniform(epsilon=0.01, d=2, N=N, p=0.3),
+                          **kwargs)
+
+
 def permutation_id_map(table, sigma):
     """Language-id relabeling induced by an object permutation."""
     out = np.empty(table.size, dtype=np.int64)
@@ -67,6 +74,23 @@ class TestStateSpace:
     def test_cap(self, table22):
         with pytest.raises(CapExceededError):
             StateSpace(table22, 5, max_states=100_000)
+
+    def test_chain_owns_the_cap(self, table22):
+        chain = make_chain(table22, ImitationParams.uniform(0.01, 2, 3, 0.3), max_states=4095)
+        with pytest.raises(CapExceededError):
+            chain.recurrent_classes()
+        assert imitation_chain(2, 2, 3, max_states=4096).space.size == 4096
+
+    def test_operations_above_the_cap(self):
+        chain = imitation_chain(2, 3, 3)  # 72^3 = 373,248 states
+        state, other = (0, 1, 2), (3, 4, 5)
+        for call in (lambda: chain.kernel(0.1), lambda: chain.transition_row(state, 0.1),
+                     chain.recurrent_classes, chain.least_resistance,
+                     lambda: verify_stability(chain)):
+            with pytest.raises(CapExceededError):
+                call()
+        assert 0.0 <= chain.transition_prob(state, other, 0.1) <= 1.0
+        assert chain.step_resistance(state, state) == 0.0
 
     def test_optimal_indices(self, table22):
         space = StateSpace(table22, 3)
@@ -498,25 +522,28 @@ class TestPermutationSymmetry:
 
 class TestVerify:
     def test_degenerate_two_agents(self):
-        report = verify_stability(2, 2, 2, dynamic="imitation", d=2)
+        report = verify_stability(imitation_chain(2, 2, 2))
         assert report.verdict == "degenerate"
         assert any("N=2" in note for note in report.notes)
         assert report.state_count == 256
         assert report.optimal_set == [5, 10]
 
     def test_localized_small_instance(self):
-        report = verify_stability(2, 2, 3, dynamic="localized", neighbor_prob=0.5)
+        # the diagonal is ignored, so it need not equal the shared probability
+        probs = tuple(tuple(1.0 if i == j else 0.5 for j in range(3)) for i in range(3))
+        report = verify_stability(LocalizedChain(get_table(2, 2), LocalParams(0.01, probs)))
+        assert report.params["neighbor_prob"] == 0.5
         assert report.verdict == "pass"
         assert report.stable_set == [5, 10]
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceededError):
-            verify_stability(3, 3, 2, dynamic="imitation", d=2)
+            verify_stability(imitation_chain(3, 3, 2))
 
     def test_asymmetric_shape_end_to_end(self):
         # smallest shape with more symbols than objects; runs the whole
         # pipeline on 5184 states and flags both caveats
-        report = verify_stability(2, 3, 2, dynamic="imitation", d=2)
+        report = verify_stability(imitation_chain(2, 3, 2))
         assert report.verdict == "degenerate"
         assert report.state_count == 72**2
         assert len(report.classes) == 72
@@ -525,7 +552,7 @@ class TestVerify:
         assert any("N=2" in note for note in report.notes)
 
     def test_report_json_fields(self):
-        report = verify_stability(2, 2, 2, dynamic="imitation", d=2)
+        report = verify_stability(imitation_chain(2, 2, 2))
         import json
 
         payload = json.loads(report.to_json())
@@ -536,3 +563,11 @@ class TestVerify:
     def test_sweep_rejects_zero_epsilon(self, imitation223):
         with pytest.raises(ValueError):
             sweep_stationary(imitation223, [0.0])
+
+    def test_sweep_validates_before_the_first_kernel(self, imitation223, monkeypatch):
+        def kernel(eps):
+            raise AssertionError("kernel built before every epsilon was checked")
+
+        monkeypatch.setattr(imitation223, "kernel", kernel)
+        with pytest.raises(ValueError):
+            sweep_stationary(imitation223, [0.1, 1.5])

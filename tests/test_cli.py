@@ -160,6 +160,23 @@ class TestVerifyCommand:
         expected = (workloads.REFS / f"verify_{dynamic}.json").read_bytes()
         assert (tmp_path / "verify_report.json").read_bytes() == expected
 
+    def test_kernel_memory_checked_before_the_search(self, tmp_path, capsys, monkeypatch):
+        def least_resistance(self):
+            raise AssertionError("search ran before the kernel memory check")
+
+        monkeypatch.setattr(chain, "_physical_memory", lambda: 2 * 256**2 * 8 - 1)
+        monkeypatch.setattr(chain._ChainModel, "least_resistance", least_resistance)
+        code = cli.main(["verify", "--m", "2", "--n", "2", "--N", "2", "--sweep",
+                         "--eps-list", "0.1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_non_uniform_probabilities_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"m": 2, "n": 2, "N": 3, "revision_prob": [0.2, 0.3, 0.4]}))
+        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert "one probability" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["verify", "--m", "two"]) == 1
         capsys.readouterr()
@@ -169,6 +186,13 @@ class TestVerifyCommand:
         config.write_text(json.dumps({"mm": 2}))
         assert cli.main(["verify", "--config", str(config)]) == 1
         assert "unknown configuration field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "replicator"])
+def test_language_cap_exit_code(tmp_path, capsys, command):
+    code = cli.main([command, "--m", "4", "--n", "4", "--out", str(tmp_path)])
+    assert code == 3
+    assert "cap" in capsys.readouterr().err
 
 
 class TestSweepCommand:

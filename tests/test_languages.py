@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signalgame.errors import CapExceededError
 from signalgame.languages import (
     GameParams,
     Language,
@@ -359,7 +360,7 @@ class TestLanguageTable:
             assert row.tolist() == table.fitness_scaled_ids(ids).tolist()
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError):
             LanguageTable(4, 4, max_languages=1000)
 
     def test_cache_identity(self):
