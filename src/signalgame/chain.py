@@ -1,17 +1,24 @@
 """Exact analysis of the perturbed evolutionary chain at desk scale.
 
-The joint state space (one language id per agent) is enumerated densely.
-Each dynamic supplies a single hook, the per-agent next-language
+States are joint states, one language id per agent (labelled states). Each
+dynamic supplies a single hook, the per-agent next-language
 distribution for a batch of states; agents update independently, so the
 one-step kernel is its product over agents, and the one-step resistances
 (the epsilon-exponent of each transition) are sums over agents of
 per-agent exponents read off the same distribution, which is affine in
 epsilon. On top runs the machinery of stochastic stability: recurrent
 classes of the unperturbed chain, least resistances between classes via a
-level-set search over the full state space (resistances are small
-integers, so distances grow one level at a time), stochastic potentials via
-minimum spanning arborescences, and stationary distributions of the
-perturbed chain for epsilon sweeps.
+level-set search (resistances are small integers, so distances grow one
+level at a time), stochastic potentials via minimum spanning arborescences,
+and stationary distributions of the perturbed chain for epsilon sweeps.
+
+When every agent uses the same revision or neighbour probability, the chain
+commutes with agent permutations and is strongly lumpable onto multisets of
+languages (Kemeny & Snell, Finite Markov Chains, 1960, 6.3), so recurrent
+classes and least resistances are searched there. All labelled states of a
+multiset have the same resistances to a permutation-invariant set, and a class
+that is one homogeneous multiset is one labelled state, so the results are
+exact; if some class is not, labelled states are searched instead.
 
 Stationary solves use a blocked Grassmann-Taksar-Heyman elimination:
 subtraction-free, so componentwise accurate even when the spectral gap is
@@ -62,26 +69,79 @@ class StateSpace:
             )
 
     def encode(self, ids) -> int:
-        index = 0
-        for lid in ids:
-            index = index * self.table.size + int(lid)
-        return index
+        return int(_codes(np.asarray(ids, dtype=np.int64), self.table.size))
 
     def decode(self, index: int) -> tuple[int, ...]:
-        ids = []
-        for _ in range(self.n_agents):
-            index, lid = divmod(index, self.table.size)
-            ids.append(lid)
-        return tuple(reversed(ids))
+        return tuple(_ids(np.array([index]), self.table.size, self.n_agents)[0].tolist())
 
     def all_ids(self) -> np.ndarray:
         """(size, N) array of language ids, row v = decode(v)."""
-        K, N = self.table.size, self.n_agents
-        ids = np.empty((self.size, N), dtype=np.int64)
-        index = np.arange(self.size)
-        for i in range(N - 1, -1, -1):
-            index, ids[:, i] = np.divmod(index, K)
-        return ids
+        return _ids(np.arange(self.size), self.table.size, self.n_agents)
+
+    def extend(self, i: int, partial: np.ndarray, lid: np.ndarray) -> np.ndarray:
+        return partial * self.table.size + lid
+
+    def expand(self, costs: np.ndarray) -> np.ndarray:
+        return _outer(costs, np.add)
+
+    def labelled(self, classes: list[list[int]]) -> list[list[int]]:
+        return classes
+
+
+def _ids(states: np.ndarray, K: int, N: int) -> np.ndarray:
+    """(len, N) language ids of labelled state indices, agent 0 most significant."""
+    return states[:, None] // K ** np.arange(N - 1, -1, -1) % K
+
+
+def _codes(ids: np.ndarray, K: int) -> np.ndarray:
+    """Labelled state index of each row of language ids; increasing in lexicographic order."""
+    return ids @ K ** np.arange(ids.shape[-1] - 1, -1, -1)
+
+
+class MultisetSpace:
+    """Multisets of N languages: row v is the sorted representative of multiset v,
+    in lexicographic order (C(K+N-1, N) rows), and ``codes[v]`` its labelled index.
+    ``_insert[i][t, l]`` is the multiset of i + 1 languages that adds l to t."""
+
+    def __init__(self, table, n_agents: int):
+        self.table, self.n_agents, K = table, n_agents, table.size
+        rows = np.arange(K)[:, None]
+        self._insert, self._gather = [rows.T], []
+        for i in range(1, n_agents):
+            prev = _codes(rows, K)
+            grown = np.column_stack([np.repeat(rows, K, axis=0), np.tile(np.arange(K), len(rows))])
+            rows = np.array(list(itertools.combinations_with_replacement(range(K), i + 1)))
+            insert = np.searchsorted(_codes(rows, K), _codes(np.sort(grown), K))
+            self._insert.append(insert.reshape(-1, K))
+            # Multiset t of i + 1 languages comes from (t without t[p], t[p]) for every
+            # position p; a repeated language repeats its preimage.
+            self._gather.append(np.column_stack([
+                np.searchsorted(prev, _codes(np.delete(rows, p, axis=1), K)) * K + rows[:, p]
+                for p in range(i + 1)]))
+        self.rows, self.size, self.codes = rows, len(rows), _codes(rows, K)
+
+    def all_ids(self) -> np.ndarray:
+        return self.rows
+
+    def extend(self, i: int, partial: np.ndarray, lid: np.ndarray) -> np.ndarray:
+        """Multiset of agents 0..i when agent i adds language lid to ``partial``."""
+        return self._insert[i][partial, lid]
+
+    def expand(self, costs: np.ndarray) -> np.ndarray:
+        """(B, size) joint costs from (B, N, K) per-agent costs, each the least over
+        the assignments of the multiset's languages to agents, folded agent by agent."""
+        joint = costs[:, 0]
+        for i, gather in enumerate(self._gather, 1):
+            joint = (joint[:, :, None] + costs[:, i, None, :]).reshape(len(costs), -1)
+            joint = joint[:, gather].min(axis=2)
+        return joint
+
+    def labelled(self, classes: list[list[int]]) -> list[list[int]] | None:
+        """Labelled indices of the classes when each is one homogeneous state, else None."""
+        heads = [cls[0] for cls in classes]
+        if all(len(cls) == 1 for cls in classes) and (self.rows[heads].T == self.rows[heads, 0]).all():
+            return [[int(v)] for v in self.codes[heads]]
+        return None
 
 
 def _outer(factors: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -110,6 +170,8 @@ class _ChainModel:
     and inf where it is always zero.
     """
 
+    _alike: np.ndarray | None = None  # probabilities that must agree for agents to be alike
+
     def __init__(self, table: LanguageTable, n_agents: int, max_states: int = DEFAULT_MAX_STATES):
         self.table = table
         self.n_agents = n_agents
@@ -119,6 +181,12 @@ class _ChainModel:
     def space(self) -> StateSpace:
         """The full state space; built, and checked against the cap, on first use."""
         return StateSpace(self.table, self.n_agents, self._max_states)
+
+    @property
+    def shared_prob(self) -> float | None:
+        """The one revision or neighbour probability every agent (pair) uses, or None."""
+        alike = self._alike
+        return None if alike is None or np.any(alike != alike[0]) else float(alike[0])
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         """(V, N, K) next-language distribution per agent for (V, N) states."""
@@ -164,47 +232,59 @@ class _ChainModel:
         """(V, V) float32 matrix of one-step resistances (inf = impossible)."""
         return _outer(self._resistances(self.space.all_ids()), np.add)
 
-    def _free_graph(self, free: np.ndarray) -> csr_matrix:
-        """Sparse (V, V) graph of the zero-resistance moves, from the (V, N, K)
-        mask of free per-agent moves. Edges grow one agent at a time: each
-        partial edge is extended by every language that agent can adopt."""
-        srcs = np.arange(free.shape[0])
-        dsts = np.zeros(free.shape[0], dtype=np.int64)
-        for i in range(self.n_agents):
-            edge, lid = np.nonzero(free[srcs, i])
-            srcs, dsts = srcs[edge], dsts[edge] * self.table.size + lid
-        shape = (free.shape[0], free.shape[0])
-        return csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)), shape=shape)
+    @cached_property
+    def _search(self) -> tuple:
+        """(space, closed classes of the eps=0 chain as its indices and as labelled
+        indices, zero-resistance graph). Multisets are searched when every agent
+        uses one probability; a multiset class that is not one homogeneous state
+        has no exact labelled image, so then labelled states are searched."""
+        spaces = [self.space]  # raises above the cap
+        if self.shared_prob is not None:
+            spaces.insert(0, MultisetSpace(self.table, self.n_agents))
+        for space in spaces:
+            # Free moves grow one agent at a time: each partial move is extended by
+            # every language that agent can adopt at no cost.
+            free = self.per_agent_dists(space.all_ids(), 0.0) > 0.0
+            srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
+            for i in range(self.n_agents):
+                edge, lid = np.nonzero(free[srcs, i])
+                srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
+            graph = csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)),
+                               shape=(space.size, space.size))
+            n_comps, labels = connected_components(graph, directed=True, connection="strong")
+            srcs, dsts = graph.nonzero()
+            leaving = labels[srcs] != labels[dsts]
+            open_comps = np.zeros(n_comps, dtype=bool)
+            open_comps[labels[srcs[leaving]]] = True
+            closed = np.flatnonzero(~open_comps[labels])
+            closed = closed[np.argsort(labels[closed], kind="stable")]
+            cuts = np.flatnonzero(np.diff(labels[closed])) + 1
+            classes = sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
+            labelled = space.labelled(classes)
+            if labelled is not None:
+                return space, classes, labelled, graph
 
     def recurrent_classes(self) -> list[list[int]]:
         """Closed communication classes of the unperturbed (eps=0) chain."""
-        graph = self._free_graph(self.per_agent_dists(self.space.all_ids(), 0.0) > 0.0)
-        srcs, dsts = graph.nonzero()
-        n_comps, labels = connected_components(graph, directed=True, connection="strong")
-        leaving = labels[srcs] != labels[dsts]
-        open_comps = np.zeros(n_comps, dtype=bool)
-        open_comps[labels[srcs[leaving]]] = True
-        closed = np.flatnonzero(~open_comps[labels])
-        closed = closed[np.argsort(labels[closed], kind="stable")]
-        cuts = np.flatnonzero(np.diff(labels[closed])) + 1
-        return sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
+        return self._search[2]
 
     def least_resistance(self) -> "ResistanceGraph":
         """Least path resistance between every ordered pair of recurrent classes.
 
-        Paths run through the full state space, so a single mutation followed by
-        any amount of unperturbed flow is automatically a resistance-1 path. All
-        classes are searched at once, one integer level at a time: a state is at
-        distance L from a class when a move of resistance c <= min(L, N) leads to
-        a state at distance <= L - c, or a zero-resistance path leads to such a
-        state. Each level takes one boolean matrix product per c over row blocks
-        of the resistance matrix, which is never held whole. No move costs more
-        than N, so the search stops after N levels in a row that add no state.
+        Paths run through the whole search space, so a single mutation followed
+        by any amount of unperturbed flow is automatically a resistance-1 path.
+        All classes are searched at once, one integer level at a time: a state
+        is at distance L from a class when a move of resistance c <= min(L, N)
+        leads to a state at distance <= L - c, or a zero-resistance path leads
+        to such a state. Each level takes one boolean matrix product per c over
+        row blocks of the resistance matrix, which is held whole only when it
+        fits one block. No move costs more than N, so the search stops after N
+        levels in a row that add no state.
         """
-        classes, space = self.recurrent_classes(), self.space
+        labelled = self.recurrent_classes()
+        space, classes, _, free = self._search
         V, N = space.size, self.n_agents
         res = self._resistances(space.all_ids())
-        free = self._free_graph(res == 0)
         # Impossible per-agent moves cost N + 1, so their sums exceed N without overflowing.
         cost = np.where(np.isfinite(res), res, N + 1).astype(np.min_scalar_type(N * (N + 1)))
         unreached = np.iinfo(np.int32).max
@@ -213,6 +293,7 @@ class _ChainModel:
         for j, cls in enumerate(classes):
             new[cls, j] = True
         rows, level, idle = max(1, _BLOCK_ENTRIES // V), 0, 0
+        whole = space.expand(cost) if rows >= V else None
         while True:
             idle = 0 if new.any() else idle + 1
             while new.any():  # zero-resistance closure
@@ -224,12 +305,13 @@ class _ChainModel:
             level += 1
             within = [(dist <= level - c).astype(np.float32) for c in range(1, min(level, N) + 1)]
             for at in np.split(open_rows, range(rows, open_rows.size, rows)):
-                block = _outer(cost[at], np.add)
+                block = space.expand(cost[at]) if whole is None else whole[at]
                 for c, target in enumerate(within, 1):
                     new[at] |= (block <= c).astype(np.float32) @ target > 0
             new &= dist == unreached
         r = np.array([dist[cls].min(axis=0) for cls in classes])
-        return ResistanceGraph(classes=classes, r=np.where(r == unreached, _INF, r), space=space)
+        return ResistanceGraph(classes=labelled, r=np.where(r == unreached, _INF, r),
+                               space=self.space)
 
 
 class ImitationChain(_ChainModel):
@@ -241,7 +323,7 @@ class ImitationChain(_ChainModel):
                  max_states: int = DEFAULT_MAX_STATES):
         super().__init__(table, params.n_agents, max_states)
         self.params = params
-        self._probs = np.asarray(params.revision_probs)
+        self._probs = self._alike = np.asarray(params.revision_probs)
         self._disk_unif = np.zeros((table.size, table.size))
         for lid, members in enumerate(table.disks(params.d)):
             self._disk_unif[lid, members] = 1.0 / members.size
@@ -274,6 +356,7 @@ class LocalizedChain(_ChainModel):
         super().__init__(table, params.n_agents, max_states)
         self.params = params
         self._probs = np.asarray(params.neighbor_probs)
+        self._alike = self._probs[~np.eye(self.n_agents, dtype=bool)]  # each agent compares itself
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         N = self.n_agents
@@ -393,15 +476,11 @@ class ResistanceGraph:
 
     def class_language_ids(self) -> list[int] | None:
         """Language ids when every class is a single homogeneous state, else None."""
-        ids = []
-        for cls in self.classes:
-            if len(cls) != 1:
-                return None
-            agent_ids = self.space.decode(cls[0])
-            if len(set(agent_ids)) != 1:
-                return None
-            ids.append(agent_ids[0])
-        return ids
+        heads = np.array([cls[0] for cls in self.classes])
+        ids = _ids(heads, self.space.table.size, self.space.n_agents)
+        if all(len(cls) == 1 for cls in self.classes) and (ids.T == ids[:, 0]).all():
+            return ids[:, 0].tolist()
+        return None
 
 
 @dataclass
@@ -501,12 +580,10 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
     The report records one revision or neighbour probability, so the chain
     must use the same one for every agent (pair); ValueError otherwise.
     """
-    table, N = model.table, model.n_agents
+    table, N, prob = model.table, model.n_agents, model.shared_prob
     imitation = model.dynamic == "imitation"
-    probs = model._probs if imitation else model._probs[~np.eye(N, dtype=bool)]
-    if np.any(probs != probs[0]):
+    if prob is None:
         raise ValueError("verify needs one probability shared by all agents")
-    prob = float(probs[0])
     epsilons = tuple(epsilons)
     sweep = sweep_stationary(model, epsilons)
 

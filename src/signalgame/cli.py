@@ -286,9 +286,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg), cfg.max_states)
     report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
-    (out_dir / "verify_report.json").write_text(report.to_json())
+    text = report.to_json()
+    (out_dir / "verify_report.json").write_text(text)
     _write_metadata(out_dir, cfg)
-    print(report.to_json())
+    print(text)
     return 0 if report.verdict in ("pass", "degenerate") else 2
 
 

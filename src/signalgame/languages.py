@@ -12,6 +12,7 @@ ties and the potential identity can be asserted with zero tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -235,14 +236,13 @@ def fitness_scaled(profile: Profile, i: int) -> int:
 def potential_scaled(profile: Profile) -> int:
     """The potential on the same (N-1) scale as fitness_scaled.
 
-    Half the sum of all scaled fitnesses; always an exact integer because
-    each unordered agent pair contributes an even amount. On this scale a
-    unilateral deviation moves the potential by exactly the deviator's
-    fitness_scaled change.
+    The sum over unordered agent pairs {a, b} of the pair's payoff
+    cross_trace(a, b) + cross_trace(b, a), which is half the sum of all scaled
+    fitnesses. On this scale a unilateral deviation moves the potential by
+    exactly the deviator's fitness_scaled change.
     """
-    total = sum(fitness_scaled(profile, i) for i in range(profile.n_agents))
-    assert total % 2 == 0
-    return total // 2
+    return sum(cross_trace(a, b) + cross_trace(b, a)
+               for a, b in itertools.combinations(profile.langs, 2))
 
 
 def avg_fitness(profile: Profile) -> Fraction:
@@ -288,14 +288,17 @@ class LanguageTable:
             [(hear_index // m**j) % m for j in range(n)], axis=1
         ).astype(np.int16)
 
-        # cross[a, b] = tr(P_a Q_b): hear_b maps a's symbol for object i back to i
-        decoded = self.hear[:, self.speak]  # (b, a, i)
-        self.cross = (decoded == np.arange(m)[None, None, :]).sum(axis=2).T.astype(np.int16)
-        self.payoff = (self.cross + self.cross.T).astype(np.int16)
-
-        speak_diffs = (self.speak[:, None, :] != self.speak[None, :, :]).sum(axis=2)
-        hear_diffs = (self.hear[:, None, :] != self.hear[None, :, :]).sum(axis=2)
-        self.hamming_q = (2 * (speak_diffs + hear_diffs)).astype(np.int16)
+        # cross[a, b] = tr(P_a Q_b) counts the objects i that b hears back from a's
+        # symbol; it and hamming_q add one position at a time in int16, with no
+        # (K, K, m) temporary.
+        self.cross = np.zeros((count, count), dtype=np.int16)
+        for i in range(m):
+            self.cross += self.hear.T[self.speak[:, i]] == i
+        self.payoff = self.cross + self.cross.T
+        self.hamming_q = np.zeros((count, count), dtype=np.int16)
+        for col in (*self.speak.T, *self.hear.T):
+            self.hamming_q += col[:, None] != col[None, :]
+        self.hamming_q *= 2
 
         self.aligned_mask = np.diagonal(self.cross) == min(m, n)
         self.aligned_ids = np.flatnonzero(self.aligned_mask)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from signalgame import chain as chain_module
@@ -12,9 +14,11 @@ from signalgame.arborescence import min_in_arborescence
 from signalgame.chain import (
     ImitationChain,
     LocalizedChain,
+    MultisetSpace,
     ResistanceGraph,
     StateSpace,
     _ChainModel,
+    _outer,
     make_chain,
     optimal_state_indices,
     stationary,
@@ -98,6 +102,28 @@ class TestStateSpace:
             decoded = space.decode(int(index))
             assert len(set(decoded)) == 1
             assert table22.aligned_mask[decoded[0]]
+
+
+class TestMultisetSpace:
+    @pytest.mark.parametrize("K,N", [(16, 3), (4, 3), (4, 4), (3, 5)])
+    def test_rows_are_sorted_unique_representatives(self, K, N):
+        rows = MultisetSpace(SimpleNamespace(size=K), N).all_ids()
+        assert rows.shape == (math.comb(K + N - 1, N), N)
+        assert (np.diff(rows, axis=1) >= 0).all()
+        assert np.array_equal(np.unique(rows, axis=0), rows)  # unique, lexicographic
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_fold_is_the_orbit_minimum(self, N):
+        K = 4
+        space = MultisetSpace(SimpleNamespace(size=K), N)
+        costs = np.random.default_rng(N).integers(0, 9, size=(20, N, K))
+        joint = _outer(costs, np.add)
+        index = {tuple(row): v for v, row in enumerate(space.all_ids().tolist())}
+        expected = np.full((20, space.size), np.iinfo(np.int64).max)
+        for w, ids in enumerate(StateSpace(SimpleNamespace(size=K), N).all_ids()):
+            v = index[tuple(sorted(ids.tolist()))]
+            expected[:, v] = np.minimum(expected[:, v], joint[:, w])
+        assert np.array_equal(space.expand(costs), expected)
 
 
 class TestTransitionRows:
@@ -299,18 +325,39 @@ class TestDerivedLayer:
 
 
 def min_plus_least_resistance(chain):
-    """Reference least resistances: min-plus relaxation of the dense resistance
-    matrix to a fixed point, one class at a time."""
-    classes = chain.recurrent_classes()
+    """Reference classes and least resistances from the dense labelled resistance
+    matrix alone. The classes are the closed strongly connected components of
+    its zero entries. The resistances come from min-plus relaxation to a fixed
+    point, dist <- min(dist, min_w R[:, w] + dist[w]), for all classes at once:
+    a pair gets c + t when it has a move of resistance exactly c to a state at
+    distance <= t, which one boolean matrix product per (c, t) finds."""
     R = chain.resistance_matrix()
-    r = np.empty((len(classes), len(classes)))
+    graph = csr_matrix(R == 0)
+    n_comps, labels = connected_components(graph, directed=True, connection="strong")
+    srcs, dsts = graph.nonzero()
+    open_comps = set(labels[srcs[labels[srcs] != labels[dsts]]].tolist())
+    classes = sorted((np.flatnonzero(labels == c).tolist() for c in range(n_comps)
+                      if c not in open_comps), key=min)
+    dist = np.full((R.shape[0], len(classes)), np.inf)
     for j, cls in enumerate(classes):
-        dist = np.full(R.shape[0], np.inf, dtype=np.float32)
-        dist[cls] = 0.0
-        while not np.array_equal(relaxed := np.minimum(dist, (R + dist).min(axis=1)), dist):
-            dist = relaxed
-        r[:, j] = [dist[c].min() for c in classes]
-    return r
+        dist[cls, j] = 0.0
+    moves = [((R == c).astype(np.float32), c) for c in np.unique(R[np.isfinite(R)])]
+    while True:
+        relaxed = dist.copy()
+        for t in np.unique(dist[np.isfinite(dist)]):
+            within = (dist <= t).astype(np.float32)
+            for move, c in moves:
+                relaxed = np.where(move @ within > 0, np.minimum(relaxed, c + t), relaxed)
+        if np.array_equal(relaxed, dist):
+            return classes, np.array([dist[cls].min(axis=0) for cls in classes])
+        dist = relaxed
+
+
+def assert_matches_oracle(chain):
+    classes, r = min_plus_least_resistance(chain)
+    rg = chain.least_resistance()
+    assert chain.recurrent_classes() == rg.classes == classes
+    assert np.array_equal(rg.r, r)
 
 
 class RaiseTheMinimumChain(_ChainModel):
@@ -333,32 +380,89 @@ class RaiseTheMinimumChain(_ChainModel):
         return np.where(top, copy, (1.0 - eps) * copy + eps * mutate)
 
 
+class SwitchChain(_ChainModel):
+    """K=2 languages, N=3 alike agents, so the search starts on multisets.
+
+    With ``flip`` every agent flips its language unless a mutation (probability
+    eps) keeps it, so {0,0,0} and {1,1,1} form one multiset class of two
+    homogeneous states. Without it every agent keeps its language unless a
+    mutation flips it, so every multiset is a class, {0,0,1} among them.
+    Neither class has an exact labelled image.
+    """
+
+    _alike = np.ones(1)
+
+    def __init__(self, flip: bool):
+        super().__init__(SimpleNamespace(size=2), 3)
+        self.flip = flip
+
+    def per_agent_dists(self, ids, eps):
+        keep = np.eye(2)[ids]
+        free, mutate = (1.0 - keep, keep) if self.flip else (keep, 1.0 - keep)
+        return (1.0 - eps) * free + eps * mutate
+
+
 class TestLeastResistance:
+    """The search on either space against the labelled oracle, classes included."""
+
     @pytest.mark.parametrize("index", range(4), ids=["imitation", "imitation-nonuniform",
                                                      "localized", "localized-forced"])
     def test_matches_min_plus_small(self, table22, index):
-        chain = derived_layer_chains(table22)[index]
-        assert np.array_equal(chain.least_resistance().r, min_plus_least_resistance(chain))
+        assert_matches_oracle(derived_layer_chains(table22)[index])
 
-    def test_matches_min_plus_imitation223(self, imitation223, resistance223):
-        assert np.array_equal(resistance223.r, min_plus_least_resistance(imitation223))
+    def test_matches_min_plus_imitation223(self, imitation223):
+        assert_matches_oracle(imitation223)
 
     def test_matches_min_plus_localized223(self, table22):
-        chain = LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5))
-        assert np.array_equal(chain.least_resistance().r, min_plus_least_resistance(chain))
+        assert_matches_oracle(LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
 
-    def test_gaps_above_n_and_impossible_moves(self):
+    def test_matches_min_plus_imitation232(self):
+        assert_matches_oracle(imitation_chain(2, 3, 2))
+
+    def test_matches_min_plus_localized232(self):
+        assert_matches_oracle(LocalizedChain(get_table(2, 3), LocalParams.uniform(0.01, 2, 0.5)))
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_uniform_chains_search_multisets(self, table22, monkeypatch, dynamic):
+        def refuse(space):
+            raise AssertionError("labelled states enumerated")
+
+        monkeypatch.setattr(StateSpace, "all_ids", refuse)
+        chain = (imitation_chain(2, 2, 3) if dynamic == "imitation" else
+                 LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
+        assert chain.recurrent_classes() == [[lid * (1 + 16 + 256)] for lid in range(16)]
+        assert chain.least_resistance().class_language_ids() == list(range(16))
+
+    def _check_raise_the_minimum(self, chain):
         # Levels 1 and 2 add no state, class 0 is 9 levels from class 3, and
         # no class can move down: the search must cross idle levels, carry
         # distances above N and stop with infinite entries.
-        chain = RaiseTheMinimumChain()
         rg = chain.least_resistance()
         assert rg.classes == [[0], [21], [42], [63]]
         expected = np.full((4, 4), np.inf)
         for i in range(4):
             expected[i, i:] = 3 * np.arange(4 - i)
         assert np.array_equal(rg.r, expected)
-        assert np.array_equal(rg.r, min_plus_least_resistance(chain))
+        assert_matches_oracle(chain)
+
+    def test_gaps_above_n_and_impossible_moves(self):
+        self._check_raise_the_minimum(RaiseTheMinimumChain())
+
+    def test_gaps_above_n_on_multisets(self):
+        chain = RaiseTheMinimumChain()
+        chain._alike = np.ones(1)  # its agents are alike, so multisets are searched
+        self._check_raise_the_minimum(chain)
+        assert isinstance(chain._search[0], MultisetSpace)
+
+    @pytest.mark.parametrize("flip,classes", [
+        (True, [[0, 7], [1, 6], [2, 5], [3, 4]]),
+        (False, [[v] for v in range(8)]),
+    ], ids=["flip", "stay"])
+    def test_multiset_class_without_labelled_image(self, flip, classes):
+        chain = SwitchChain(flip)
+        assert_matches_oracle(chain)
+        assert chain.recurrent_classes() == classes
+        assert chain._search[0] is chain.space
 
     def test_diagonal_zero(self, resistance223):
         assert np.all(np.diagonal(resistance223.r) == 0)
@@ -535,6 +639,15 @@ class TestVerify:
         assert report.params["neighbor_prob"] == 0.5
         assert report.verdict == "pass"
         assert report.stable_set == [5, 10]
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_four_agents(self, dynamic):
+        chain = (imitation_chain(2, 2, 4) if dynamic == "imitation" else
+                 LocalizedChain(get_table(2, 2), LocalParams.uniform(0.01, 4, 0.5)))
+        report = verify_stability(chain)
+        assert report.verdict == "pass"
+        assert report.stable_set == [5, 10]
+        assert report.state_count == 65_536
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceededError):

@@ -334,6 +334,19 @@ class TestLanguageTable:
             assert table.payoff[x, y] == cross_trace(langs[x], langs[y]) + cross_trace(langs[y], langs[x])
         assert [bool(f) for f in table.aligned_mask] == [is_aligned(l) for l in langs]
 
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_tables_match_broadcast_reference(self, m, n):
+        # Whole tables against the (K, K, m)-temporary broadcast formulas.
+        table = get_table(m, n)
+        speak, hear = table.speak, table.hear
+        cross = (hear[:, speak] == np.arange(m)).sum(axis=2).T
+        speak_diffs = (speak[:, None, :] != speak[None, :, :]).sum(axis=2)
+        hear_diffs = (hear[:, None, :] != hear[None, :, :]).sum(axis=2)
+        assert np.array_equal(table.cross, cross)
+        assert np.array_equal(table.payoff, cross + cross.T)
+        assert np.array_equal(table.hamming_q, 2 * (speak_diffs + hear_diffs))
+        assert table.cross.dtype == table.payoff.dtype == table.hamming_q.dtype == np.int16
+
     def test_disks_match(self):
         table = get_table(2, 2)
         langs = enumerate_languages(2, 2)
