@@ -260,13 +260,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if cfg.snapshots:
             lines = [json.dumps({"t": rec.t, "ids": list(rec.ids)}) for rec in traj.records]
             (out_dir / f"profiles_seed{seed}.jsonl").write_text("\n".join(lines) + "\n")
-        tail = [float(rec.frac_aligned) for rec in traj.records if rec.t >= tail_start]
+        tail = [rec.n_aligned / traj.n_agents for rec in traj.records if rec.t >= tail_start]
         per_seed.append(
             {
                 "seed": seed,
                 "tail_mean_frac_aligned": sum(tail) / len(tail),
                 "terminal_majority_lang_id": traj.records[-1].majority_id,
-                "terminal_frac_aligned": float(traj.records[-1].frac_aligned),
+                "terminal_frac_aligned": traj.records[-1].n_aligned / traj.n_agents,
             }
         )
     summary = {
@@ -341,11 +341,11 @@ def cmd_replicator(cfg: RunConfig) -> int:
     traj = integrate(x0, A, dt=cfg.dt, steps=cfg.steps, record_every=cfg.record_every)
     header = "t,W," + ",".join(f"x_{k}" for k in range(K))
     lines = [header]
-    step_stride = cfg.record_every
-    for idx, t in enumerate(traj.times):
-        w = traj.mean_fitness_path[min(idx * step_stride, len(traj.mean_fitness_path) - 1)]
-        state = ",".join(repr(float(v)) for v in traj.states[idx])
-        lines.append(f"{float(t)!r},{float(w)!r},{state}")
+    w_path = traj.mean_fitness_path.tolist()
+    last = len(w_path) - 1
+    for idx, (t, state) in enumerate(zip(traj.times.tolist(), traj.states)):
+        w = w_path[min(idx * cfg.record_every, last)]
+        lines.append(f"{t!r},{w!r}," + ",".join(map(repr, state.tolist())))
     (out_dir / "replicator.csv").write_text("\n".join(lines) + "\n")
     _write_metadata(out_dir, cfg)
     print(

@@ -17,16 +17,21 @@ the own entry is consumed but ignored), (2) the imitate-vs-mutate uniform,
 (3) a single integer index — into the argmax list when imitating, into the
 mutation support when mutating. Imitation draws (2) and (3) only happen for
 agents that revise. The RNG is ``numpy.random.default_rng(seed)`` (PCG64).
+
+Fitness is evaluated once per step: ``run`` shares it between the record of a
+profile and the step that leaves it. Records hold exact integer numerators, and
+the CSV writes their correctly rounded quotients by N and N(N-1), which equal
+the floats of the exact fractions; so the draw-order contract fixes the bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .languages import LanguageTable, Profile, get_table
+from .languages import LanguageTable
 
 
 @dataclass(frozen=True)
@@ -88,15 +93,22 @@ class LocalParams:
     def n_agents(self) -> int:
         return len(self.neighbor_probs)
 
+    @cached_property
+    def probs_array(self) -> np.ndarray:
+        return np.asarray(self.neighbor_probs)
+
 
 def _step_imitation_ids(
     ids: np.ndarray,
+    fit: np.ndarray,
     table: LanguageTable,
     params: ImitationParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    fit = table.fitness_scaled_ids(ids)
-    argmax_agents = np.flatnonzero(fit == fit.max())
+    """One imitation step from the profile ``ids`` with scaled fitnesses ``fit``."""
+    scores = fit.tolist()
+    top = max(scores)
+    argmax_agents = [i for i, f in enumerate(scores) if f == top]
     disks = table.disks(params.d)
     probs = params.revision_probs
     eps = params.epsilon
@@ -105,7 +117,7 @@ def _step_imitation_ids(
         if rng.random() >= probs[i]:
             continue
         if rng.random() >= eps:
-            new[i] = ids[argmax_agents[rng.integers(argmax_agents.size)]]
+            new[i] = ids[argmax_agents[rng.integers(len(argmax_agents))]]
         else:
             support = disks[ids[i]]
             new[i] = support[rng.integers(support.size)]
@@ -114,12 +126,13 @@ def _step_imitation_ids(
 
 def _step_localized_ids(
     ids: np.ndarray,
+    fit: np.ndarray,
     table: LanguageTable,
     params: LocalParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    fit = table.fitness_scaled_ids(ids)
-    probs = np.asarray(params.neighbor_probs)
+    """One localized step from the profile ``ids`` with scaled fitnesses ``fit``."""
+    probs = params.probs_array
     eps = params.epsilon
     new = ids.copy()
     for i in range(ids.size):
@@ -135,26 +148,18 @@ def _step_localized_ids(
     return new
 
 
-def fraction_aligned(profile: Profile) -> Fraction:
-    """Share of agents currently using an aligned language."""
-    table = get_table(profile.m, profile.n)
-    ids = np.asarray(profile.ids())
-    return Fraction(int(table.aligned_mask[ids].sum()), profile.n_agents)
-
-
-def aligned_census(profile: Profile) -> dict[int, int]:
-    """Agent count per aligned language id (zero entries included)."""
-    table = get_table(profile.m, profile.n)
-    counts = np.bincount(np.asarray(profile.ids()), minlength=table.size)
-    return {int(lid): int(counts[lid]) for lid in table.aligned_ids}
-
-
-@dataclass
+@dataclass(slots=True)
 class TrajectoryRecord:
+    """One recorded profile, with exact integer metrics.
+
+    ``n_aligned / N`` and ``fitness_total / (N(N-1))`` are the CSV's
+    ``frac_aligned`` and ``avg_fitness``.
+    """
+
     t: int
     ids: tuple[int, ...]
-    frac_aligned: Fraction
-    avg_fitness: Fraction
+    n_aligned: int
+    fitness_total: int
     majority_id: int
     aligned_counts: tuple[int, ...]
 
@@ -167,7 +172,6 @@ class Trajectory:
     n: int
     n_agents: int
     dynamic: str
-    params: dict
     seed: int | None
     aligned_ids: tuple[int, ...]
     records: list[TrajectoryRecord] = field(default_factory=list)
@@ -180,25 +184,26 @@ class Trajectory:
         return f"t,frac_aligned,avg_fitness,majority_lang_id,{counts}"
 
     def to_csv(self) -> str:
+        N = self.n_agents
+        pairs = N * (N - 1)
         lines = [self.csv_header()]
         for rec in self.records:
-            counts = ",".join(str(c) for c in rec.aligned_counts)
+            counts = ",".join(map(str, rec.aligned_counts))
             lines.append(
-                f"{rec.t},{float(rec.frac_aligned)!r},{float(rec.avg_fitness)!r},"
+                f"{rec.t},{rec.n_aligned / N!r},{rec.fitness_total / pairs!r},"
                 f"{rec.majority_id},{counts}"
             )
         return "\n".join(lines) + "\n"
 
 
-def _record(table: LanguageTable, t: int, ids: np.ndarray, N: int) -> TrajectoryRecord:
+def _record(table: LanguageTable, t: int, ids: np.ndarray, fit: np.ndarray) -> TrajectoryRecord:
     counts = np.bincount(ids, minlength=table.size)
-    aligned_counts = tuple(int(counts[lid]) for lid in table.aligned_ids)
-    fit = table.fitness_scaled_ids(ids)
+    aligned_counts = tuple(counts[table.aligned_ids].tolist())
     return TrajectoryRecord(
         t=t,
-        ids=tuple(int(x) for x in ids),
-        frac_aligned=Fraction(int(table.aligned_mask[ids].sum()), N),
-        avg_fitness=Fraction(int(fit.sum()), N * (N - 1)),
+        ids=tuple(ids.tolist()),
+        n_aligned=sum(aligned_counts),
+        fitness_total=sum(fit.tolist()),
         majority_id=int(counts.argmax()),
         aligned_counts=aligned_counts,
     )
@@ -210,19 +215,19 @@ def random_profile_ids(table: LanguageTable, N: int, rng: np.random.Generator) -
 
 
 def run(
-    initial: Profile | np.ndarray,
+    initial: np.ndarray,
     dynamic: str,
     params: ImitationParams | LocalParams,
     horizon: int,
     record_every: int = 1,
     rng: np.random.Generator | int | None = None,
-    table: LanguageTable | None = None,
+    *,
+    table: LanguageTable,
 ) -> Trajectory:
-    """Iterate the chosen step operation, recording metrics along the way.
+    """Iterate the chosen step from the id vector ``initial``, recording metrics.
 
-    Records t=0 and every ``record_every`` steps thereafter, plus the final
-    step. ``initial`` is either a Profile or an id vector (the latter needs
-    ``table``). Deterministic given (initial, params, seed).
+    Records t=0, every ``record_every`` steps and the final step; deterministic
+    given (initial, params, seed).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -242,13 +247,7 @@ def run(
     seed = rng if isinstance(rng, int) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if isinstance(initial, Profile):
-        table = get_table(initial.m, initial.n)
-        ids = np.asarray(initial.ids(), dtype=np.int64)
-    else:
-        if table is None:
-            raise ValueError("id-vector initial profiles need an explicit table")
-        ids = np.asarray(initial, dtype=np.int64)
+    ids = np.asarray(initial, dtype=np.int64)
     N = ids.size
     if params.n_agents != N:
         raise ValueError("params sized for a different number of agents")
@@ -258,26 +257,14 @@ def run(
         n=table.n,
         n_agents=N,
         dynamic=dynamic,
-        params=_params_snapshot(params),
         seed=seed,
         aligned_ids=tuple(int(x) for x in table.aligned_ids),
     )
-    traj.records.append(_record(table, 0, ids, N))
+    fit = table.fitness_scaled_ids(ids)
+    traj.records.append(_record(table, 0, ids, fit))
     for t in range(1, horizon + 1):
-        ids = step(ids, table, params, rng)
+        ids = step(ids, fit, table, params, rng)
+        fit = table.fitness_scaled_ids(ids)
         if t % record_every == 0 or t == horizon:
-            traj.records.append(_record(table, t, ids, N))
+            traj.records.append(_record(table, t, ids, fit))
     return traj
-
-
-def _params_snapshot(params: ImitationParams | LocalParams) -> dict:
-    if isinstance(params, ImitationParams):
-        return {
-            "epsilon": params.epsilon,
-            "d": params.d,
-            "revision_probs": list(params.revision_probs),
-        }
-    return {
-        "epsilon": params.epsilon,
-        "neighbor_probs": [list(row) for row in params.neighbor_probs],
-    }

@@ -104,10 +104,13 @@ def integrate(
         raise ValueError("x0 must lie on the simplex")
     A = np.asarray(payoff, dtype=float)
 
-    def rhs(Y: np.ndarray) -> np.ndarray:
+    def field(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The replicator field at Y, and Y's mean fitness as a (B, 1) column."""
         fit = Y @ A
         mean = (Y * fit).sum(axis=1, keepdims=True)
-        return Y * (fit - mean)
+        fit -= mean
+        fit *= Y
+        return fit, mean
 
     n_records = steps // record_every + 1
     times = np.empty(n_records)
@@ -115,31 +118,36 @@ def integrate(
     w_path = np.empty((steps + 1, X.shape[0]))
     times[0] = 0.0
     states[0] = X
-    w_path[0] = (X * (X @ A)).sum(axis=1)
     max_sum_err = float(np.abs(X.sum(axis=1) - 1.0).max())
     min_entry = float(X.min())
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
 
+    # The field at the end of a step gives that step's mean fitness and the
+    # next step's first stage k1; after the last step, the terminal field.
+    k1, mean = field(X)
+    w_path[0] = mean[:, 0]
     rec = 1
     for step in range(1, steps + 1):
-        k1 = rhs(X)
-        k2 = rhs(X + 0.5 * dt * k1)
-        k3 = rhs(X + 0.5 * dt * k2)
-        k4 = rhs(X + dt * k3)
-        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = field(X + half_dt * k1)[0]
+        k3 = field(X + half_dt * k2)[0]
+        k4 = field(X + dt * k3)[0]
+        X = X + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         sums = X.sum(axis=1)
-        max_sum_err = max(max_sum_err, float(np.abs(sums - 1.0).max()))
-        min_entry = min(min_entry, float(X.min()))
-        if np.abs(sums - 1.0).max() > simplex_tol or X.min() < -simplex_tol:
+        sum_err, low = float(np.abs(sums - 1.0).max()), float(X.min())
+        max_sum_err = max(max_sum_err, sum_err)
+        min_entry = min(min_entry, low)
+        if sum_err > simplex_tol or low < -simplex_tol:
             raise ValueError(
                 f"state left the simplex at step {step}; reduce the step size"
             )
         X = X / sums[:, None]
-        w_path[step] = (X * (X @ A)).sum(axis=1)
+        k1, mean = field(X)
+        w_path[step] = mean[:, 0]
         if step % record_every == 0:
             times[rec] = step * dt
             states[rec] = X
             rec += 1
-    terminal_rhs = float(np.abs(rhs(X)).max())
+    terminal_rhs = float(np.abs(k1).max())
 
     if not batched:
         states = states[:, 0, :]

@@ -195,8 +195,9 @@ class TestMonteCarloCrossCheck:
         rng = np.random.default_rng(seed)
         counts = np.zeros(space.size)
         base = np.asarray(state)
+        fit = table.fitness_scaled_ids(base)
         for _ in range(trials):
-            counts[space.encode(step(base, table, params, rng))] += 1
+            counts[space.encode(step(base, fit, table, params, rng))] += 1
         assert counts[row == 0.0].sum() == 0  # nothing impossible ever sampled
         # three standard errors in count space, plus a small slack that
         # absorbs Poisson discreteness on the near-zero-probability entries

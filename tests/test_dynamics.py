@@ -8,10 +8,10 @@ import pytest
 from signalgame.dynamics import (
     ImitationParams,
     LocalParams,
+    Trajectory,
+    TrajectoryRecord,
     _step_imitation_ids,
     _step_localized_ids,
-    aligned_census,
-    fraction_aligned,
     random_profile_ids,
     run,
 )
@@ -45,9 +45,10 @@ class TestStepImitation:
         table = get_table(2, 2)
         params = ImitationParams.uniform(epsilon=0.0, d=2, N=4, p=0.5)
         ids = np.full(4, POOLING.id)
+        fit = table.fitness_scaled_ids(ids)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert _step_imitation_ids(ids, table, params, rng).tolist() == ids.tolist()
+            assert _step_imitation_ids(ids, fit, table, params, rng).tolist() == ids.tolist()
 
     def test_reaches_homogeneous_from_any_start(self):
         table = get_table(2, 2)
@@ -56,7 +57,7 @@ class TestStepImitation:
             rng = np.random.default_rng(seed)
             ids = random_profile_ids(table, 5, rng)
             for _ in range(200):
-                ids = _step_imitation_ids(ids, table, params, rng)
+                ids = _step_imitation_ids(ids, table.fitness_scaled_ids(ids), table, params, rng)
                 if len(set(ids.tolist())) == 1:
                     break
             assert len(set(ids.tolist())) == 1
@@ -69,7 +70,7 @@ class TestStepImitation:
         for _ in range(60):
             fit = table.fitness_scaled_ids(ids)
             argmax_langs = set(ids[fit == fit.max()].tolist())
-            new = _step_imitation_ids(ids, table, params, rng)
+            new = _step_imitation_ids(ids, fit, table, params, rng)
             for old, fresh in zip(ids, new):
                 if fresh != old:
                     assert int(fresh) in argmax_langs
@@ -88,7 +89,7 @@ class TestStepImitation:
         rng = np.random.default_rng(2)
         outcomes = set()
         for _ in range(300):
-            outcomes.add(tuple(_step_imitation_ids(ids, table, params, rng).tolist()))
+            outcomes.add(tuple(_step_imitation_ids(ids, fit, table, params, rng).tolist()))
         aligned_id = ALIGNED.id
         assert (aligned_id,) * 3 in outcomes
         for out in outcomes:
@@ -100,9 +101,10 @@ class TestStepImitation:
         params = ImitationParams.uniform(epsilon=0.999, d=1, N=2, p=0.9)
         rng = np.random.default_rng(3)
         start = np.array([POOLING.id, ALIGNED.id])
+        fit = table.fitness_scaled_ids(start)
         seen: dict[int, set[int]] = {0: set(), 1: set()}
         for _ in range(4000):
-            out = _step_imitation_ids(start, table, params, rng)
+            out = _step_imitation_ids(start, fit, table, params, rng)
             for agent in (0, 1):
                 if out[agent] != start[agent]:
                     seen[agent].add(int(out[agent]))
@@ -128,7 +130,8 @@ class TestStepImitation:
             rng = np.random.default_rng(seed)
             state = ids.copy()
             for _ in range(60):
-                state = _step_imitation_ids(state, table, params, rng)
+                fit = table.fitness_scaled_ids(state)
+                state = _step_imitation_ids(state, fit, table, params, rng)
                 if len(set(state.tolist())) == 1:
                     break
             fixed.add(int(state[0]))
@@ -142,7 +145,8 @@ class TestStepImitation:
         rng = np.random.default_rng(4)
         state = ids.copy()
         for _ in range(100):
-            state = _step_imitation_ids(state, table, params, rng)
+            fit = table.fitness_scaled_ids(state)
+            state = _step_imitation_ids(state, fit, table, params, rng)
         assert state.tolist() == [ALIGNED.id] * 3
 
 
@@ -151,9 +155,10 @@ class TestStepLocalized:
         table = get_table(2, 2)
         params = LocalParams.uniform(epsilon=0.0, N=3, p=0.5)
         ids = np.full(3, SWAPPED.id)
+        fit = table.fitness_scaled_ids(ids)
         rng = np.random.default_rng(5)
         for _ in range(200):
-            assert _step_localized_ids(ids, table, params, rng).tolist() == ids.tolist()
+            assert _step_localized_ids(ids, fit, table, params, rng).tolist() == ids.tolist()
 
     def test_full_neighbourhoods_imitate_global_argmax(self):
         # with p_ij = 1 and a unique fittest agent, one step conforms everyone
@@ -162,7 +167,7 @@ class TestStepLocalized:
         ids = np.array([ALIGNED.id, ALIGNED.id, crossed.id])
         params = LocalParams.uniform(epsilon=0.0, N=3, p=1.0)
         rng = np.random.default_rng(6)
-        out = _step_localized_ids(ids, table, params, rng)
+        out = _step_localized_ids(ids, table.fitness_scaled_ids(ids), table, params, rng)
         assert out.tolist() == [ALIGNED.id] * 3
 
     def test_mutation_support_is_everything(self):
@@ -170,9 +175,10 @@ class TestStepLocalized:
         params = LocalParams.uniform(epsilon=0.999, N=2, p=0.5)
         rng = np.random.default_rng(7)
         start = np.array([POOLING.id, POOLING.id])
+        fit = table.fitness_scaled_ids(start)
         seen = set()
         for _ in range(3000):
-            out = _step_localized_ids(start, table, params, rng)
+            out = _step_localized_ids(start, fit, table, params, rng)
             seen.update(out.tolist())
         assert seen == set(range(table.size))
 
@@ -183,42 +189,53 @@ class TestStepLocalized:
         params = LocalParams.uniform(epsilon=0.0, N=4, p=0.5)
         rng = np.random.default_rng(8)
         for _ in range(300):
-            out = _step_localized_ids(ids, table, params, rng)
+            out = _step_localized_ids(ids, table.fitness_scaled_ids(ids), table, params, rng)
             assert all(lid == ALIGNED.id for lid in out[:3])
+
+
+def _initial_record(profile: Profile) -> tuple[Trajectory, TrajectoryRecord]:
+    """A run of horizon 0 from ``profile``: its trajectory and its one record."""
+    table = get_table(profile.m, profile.n)
+    params = ImitationParams.uniform(epsilon=0.1, d=1, N=profile.n_agents, p=0.5)
+    traj = run(np.array(profile.ids()), "imitation", params, horizon=0, rng=0, table=table)
+    return traj, traj.records[0]
 
 
 class TestMetrics:
     def test_fraction_aligned(self):
-        assert fraction_aligned(Profile((ALIGNED,) * 4)) == 1
-        assert fraction_aligned(Profile((POOLING,) * 4)) == 0
-        mixed = Profile((ALIGNED,) * 6 + (POOLING,) * 4)
-        assert fraction_aligned(mixed) == Fraction(3, 5)
+        assert _initial_record(Profile((ALIGNED,) * 4))[1].n_aligned == 4
+        assert _initial_record(Profile((POOLING,) * 4))[1].n_aligned == 0
+        traj, rec = _initial_record(Profile((ALIGNED,) * 6 + (POOLING,) * 4))
+        assert Fraction(rec.n_aligned, traj.n_agents) == Fraction(3, 5)
+        assert traj.to_csv().splitlines()[1].split(",")[1] == "0.6"
 
     def test_census_domain(self):
-        table = get_table(3, 3)
         ident = Language(3, 3, (0, 1, 2), (0, 1, 2))
-        census = aligned_census(Profile((ident,) * 4))
+        traj, rec = _initial_record(Profile((ident,) * 4))
+        census = dict(zip(traj.aligned_ids, rec.aligned_counts))
         assert len(census) == 6
         assert census[ident.id] == 4
-        assert sum(census.values()) == 4
+        assert sum(census.values()) == 4 == rec.n_aligned
 
     def test_census_all_zero(self):
-        census = aligned_census(Profile((POOLING,) * 3))
-        assert set(census.values()) == {0}
+        _, rec = _initial_record(Profile((POOLING,) * 3))
+        assert set(rec.aligned_counts) == {0}
 
 
 class TestRun:
     def test_zero_horizon_records_initial_only(self):
         profile = Profile((ALIGNED, POOLING))
         params = ImitationParams.uniform(epsilon=0.1, d=1, N=2, p=0.5)
-        traj = run(profile, "imitation", params, horizon=0, rng=0)
+        traj = run(np.array(profile.ids()), "imitation", params, horizon=0, rng=0,
+                   table=get_table(2, 2))
         assert traj.times() == [0]
         assert traj.records[0].ids == profile.ids()
 
     def test_record_every_includes_final(self):
         profile = Profile((ALIGNED, POOLING))
         params = ImitationParams.uniform(epsilon=0.1, d=1, N=2, p=0.5)
-        traj = run(profile, "imitation", params, horizon=7, record_every=3, rng=0)
+        traj = run(np.array(profile.ids()), "imitation", params, horizon=7, record_every=3,
+                   rng=0, table=get_table(2, 2))
         assert traj.times() == [0, 3, 6, 7]
 
     def test_deterministic_and_seed_sensitive(self):
@@ -240,8 +257,117 @@ class TestRun:
         assert header == "t,frac_aligned,avg_fitness,majority_lang_id,count_5,count_10"
 
     def test_wrong_params_type(self):
-        profile = Profile((ALIGNED, POOLING))
+        ids = np.array(Profile((ALIGNED, POOLING)).ids())
+        table = get_table(2, 2)
         with pytest.raises(TypeError):
-            run(profile, "imitation", LocalParams.uniform(0.1, 2, 0.5), 5, rng=0)
+            run(ids, "imitation", LocalParams.uniform(0.1, 2, 0.5), 5, rng=0, table=table)
         with pytest.raises(ValueError):
-            run(profile, "annealing", ImitationParams.uniform(0.1, 1, 2, 0.5), 5, rng=0)
+            run(ids, "annealing", ImitationParams.uniform(0.1, 1, 2, 0.5), 5, rng=0, table=table)
+
+
+# -- oracle: the step, record and CSV code as it was before fitness was shared ----------
+# Each step and each record evaluated the fitness itself, and records held
+# Fractions. ``run`` must keep writing the same CSV bytes and profiles.
+
+
+def _oracle_step_imitation_ids(ids, table, params, rng):
+    fit = table.fitness_scaled_ids(ids)
+    argmax_agents = np.flatnonzero(fit == fit.max())
+    disks = table.disks(params.d)
+    probs = params.revision_probs
+    eps = params.epsilon
+    new = ids.copy()
+    for i in range(ids.size):
+        if rng.random() >= probs[i]:
+            continue
+        if rng.random() >= eps:
+            new[i] = ids[argmax_agents[rng.integers(argmax_agents.size)]]
+        else:
+            support = disks[ids[i]]
+            new[i] = support[rng.integers(support.size)]
+    return new
+
+
+def _oracle_step_localized_ids(ids, table, params, rng):
+    fit = table.fitness_scaled_ids(ids)
+    probs = np.asarray(params.neighbor_probs)
+    eps = params.epsilon
+    new = ids.copy()
+    for i in range(ids.size):
+        include = rng.random(ids.size) < probs[i]
+        include[i] = True
+        neighbors = np.flatnonzero(include)
+        if rng.random() >= eps:
+            local_fit = fit[neighbors]
+            best = neighbors[local_fit == local_fit.max()]
+            new[i] = ids[best[rng.integers(best.size)]]
+        else:
+            new[i] = rng.integers(table.size)
+    return new
+
+
+def _oracle_record(table, t, ids, N):
+    counts = np.bincount(ids, minlength=table.size)
+    aligned_counts = tuple(int(counts[lid]) for lid in table.aligned_ids)
+    fit = table.fitness_scaled_ids(ids)
+    return {
+        "t": t,
+        "ids": tuple(int(x) for x in ids),
+        "frac_aligned": Fraction(int(table.aligned_mask[ids].sum()), N),
+        "avg_fitness": Fraction(int(fit.sum()), N * (N - 1)),
+        "majority_id": int(counts.argmax()),
+        "aligned_counts": aligned_counts,
+    }
+
+
+def _oracle_run(initial, dynamic, params, horizon, record_every, seed, table):
+    step = _oracle_step_imitation_ids if dynamic == "imitation" else _oracle_step_localized_ids
+    rng = np.random.default_rng(seed)
+    ids = np.asarray(initial, dtype=np.int64)
+    N = ids.size
+    records = [_oracle_record(table, 0, ids, N)]
+    for t in range(1, horizon + 1):
+        ids = step(ids, table, params, rng)
+        if t % record_every == 0 or t == horizon:
+            records.append(_oracle_record(table, t, ids, N))
+    return records
+
+
+def _oracle_csv(aligned_ids, records):
+    counts = ",".join(f"count_{lid}" for lid in aligned_ids)
+    lines = [f"t,frac_aligned,avg_fitness,majority_lang_id,{counts}"]
+    for rec in records:
+        counts = ",".join(str(c) for c in rec["aligned_counts"])
+        lines.append(
+            f"{rec['t']},{float(rec['frac_aligned'])!r},{float(rec['avg_fitness'])!r},"
+            f"{rec['majority_id']},{counts}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestMatchesOracle:
+    """The shared-fitness run writes the oracle's bytes, seed for seed."""
+
+    N = 6
+    HORIZON = 150
+
+    def _params(self, dynamic, seed):
+        if dynamic == "imitation":
+            return ImitationParams.uniform(epsilon=0.2, d=2, N=self.N, p=0.4)
+        # a non-uniform p_ij matrix, so each agent reads its own row
+        matrix = np.random.default_rng(1000 + seed).uniform(0.05, 1.0, (self.N, self.N))
+        return LocalParams(0.2, tuple(tuple(row) for row in matrix.tolist()))
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("mn", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_csv_and_profiles(self, dynamic, mn, record_every):
+        table = get_table(*mn)
+        for seed in range(3):
+            params = self._params(dynamic, seed)
+            initial = random_profile_ids(table, self.N, np.random.default_rng(seed))
+            traj = run(initial.copy(), dynamic, params, self.HORIZON, record_every,
+                       rng=seed, table=table)
+            oracle = _oracle_run(initial, dynamic, params, self.HORIZON, record_every, seed, table)
+            assert [rec.ids for rec in traj.records] == [rec["ids"] for rec in oracle]
+            assert traj.to_csv() == _oracle_csv(traj.aligned_ids, oracle)

@@ -124,3 +124,88 @@ class TestIntegrate:
             integrate(x0, A22, dt=0.0, steps=10)
         with pytest.raises(ValueError):
             integrate(x0, A22, dt=0.01, steps=-1)
+
+
+def _oracle_integrate(x0, payoff, dt, steps, record_every):
+    """The RK4 loop as it was before the end-of-step product was shared."""
+    x = np.asarray(x0, dtype=float)
+    batched = x.ndim == 2
+    X = x if batched else x[None, :]
+    A = np.asarray(payoff, dtype=float)
+
+    def rhs(Y):
+        fit = Y @ A
+        mean = (Y * fit).sum(axis=1, keepdims=True)
+        return Y * (fit - mean)
+
+    n_records = steps // record_every + 1
+    times = np.empty(n_records)
+    states = np.empty((n_records,) + X.shape)
+    w_path = np.empty((steps + 1, X.shape[0]))
+    times[0] = 0.0
+    states[0] = X
+    w_path[0] = (X * (X @ A)).sum(axis=1)
+    max_sum_err = float(np.abs(X.sum(axis=1) - 1.0).max())
+    min_entry = float(X.min())
+    rec = 1
+    for step in range(1, steps + 1):
+        k1 = rhs(X)
+        k2 = rhs(X + 0.5 * dt * k1)
+        k3 = rhs(X + 0.5 * dt * k2)
+        k4 = rhs(X + dt * k3)
+        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sums = X.sum(axis=1)
+        max_sum_err = max(max_sum_err, float(np.abs(sums - 1.0).max()))
+        min_entry = min(min_entry, float(X.min()))
+        X = X / sums[:, None]
+        w_path[step] = (X * (X @ A)).sum(axis=1)
+        if step % record_every == 0:
+            times[rec] = step * dt
+            states[rec] = X
+            rec += 1
+    terminal_rhs = float(np.abs(rhs(X)).max())
+    if not batched:
+        states = states[:, 0, :]
+        w_path = w_path[:, 0]
+    return {"times": times[:rec], "states": states[:rec], "mean_fitness_path": w_path,
+            "max_sum_err": max_sum_err, "min_entry": min_entry, "terminal_rhs_inf": terminal_rhs}
+
+
+class TestMatchesOracle:
+    """The fused RK4 step reproduces the unfused one bit for bit."""
+
+    def _assert_identical(self, traj, oracle):
+        for key in ("times", "states", "mean_fitness_path"):
+            got, want = getattr(traj, key), oracle[key]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), key
+        for key in ("max_sum_err", "min_entry", "terminal_rhs_inf"):
+            assert getattr(traj, key) == oracle[key], key
+
+    def test_fixture(self, A22):
+        x0 = np.asarray(SUBOPTIMAL_REST_X0)
+        traj = integrate(x0, A22, dt=0.01, steps=10000)
+        self._assert_identical(traj, _oracle_integrate(x0, A22, 0.01, 10000, 1))
+
+    def test_dirichlet_batch(self, A22):
+        X0 = np.random.default_rng(5).dirichlet(np.ones(16), size=8)
+        traj = integrate(X0, A22, dt=0.01, steps=1000, record_every=7)
+        self._assert_identical(traj, _oracle_integrate(X0, A22, 0.01, 1000, 7))
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_cli_csv(self, A22, tmp_path, capsys, record_every):
+        from signalgame import cli
+
+        steps = 1000
+        assert cli.main(["replicator", "--m", "2", "--n", "2", "--x0", "fixture",
+                         "--steps", str(steps), "--record-every", str(record_every),
+                         "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        oracle = _oracle_integrate(np.asarray(SUBOPTIMAL_REST_X0), A22, 0.01, steps, record_every)
+        w_path = oracle["mean_fitness_path"]
+        lines = ["t,W," + ",".join(f"x_{k}" for k in range(16))]
+        for idx, t in enumerate(oracle["times"]):
+            w = w_path[min(idx * record_every, len(w_path) - 1)]
+            state = ",".join(repr(float(v)) for v in oracle["states"][idx])
+            lines.append(f"{float(t)!r},{float(w)!r},{state}")
+        assert (tmp_path / "replicator.csv").read_text() == "\n".join(lines) + "\n"
