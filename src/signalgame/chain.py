@@ -22,7 +22,10 @@ exact; if some class is not, labelled states are searched instead.
 
 Stationary solves use a blocked Grassmann-Taksar-Heyman elimination:
 subtraction-free, so componentwise accurate even when the spectral gap is
-tiny, and arranged so the bulk of the work is one matrix product per block.
+tiny. Each block eliminates its own rows, folds its coupling panel in a
+contiguous copy, and updates the leading quadrant by a matrix product in
+row chunks; the arithmetic per entry, and so the result bit for bit, is that
+of the unblocked order with one whole product per block.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ DEFAULT_MAX_STATES = 100_000
 TRACTABLE_PRESETS = ((2, 2, 2), (2, 2, 3))
 
 _INF = float("inf")
-# Entries of one row block of the resistance matrix in the least-resistance search.
+# Entries of one row block of the resistance matrix in the least-resistance search,
+# and of one chunk of the GTH trailing product.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -222,7 +226,8 @@ class _ChainModel:
 
     def kernel(self, eps: float) -> np.ndarray:
         """Dense one-step transition matrix at a fixed epsilon. Raises CapExceededError
-        before allocating if it and the GTH working copy exceed physical memory."""
+        before allocating if it and the GTH working copy, 2 * V**2 * 8 bytes, exceed
+        physical memory; the solver's other buffers take O(V * block) more."""
         if 2 * self.space.size**2 * 8 > _physical_memory():
             raise CapExceededError(f"a dense kernel on {self.space.size} states and its GTH "
                                    "working copy would not fit in physical memory")
@@ -402,11 +407,20 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     chain: the incoming column is scaled by the expected-visits factor 1/s
     (s = e's total exit probability toward lower states) and the outer
     product with e's raw outgoing row is added. States are eliminated from
-    the highest index down; within a block, rows and the coupling columns
-    are kept current with rank-1 updates while the large leading quadrant
-    receives one deferred matrix product per block. Only additions,
-    multiplications and divisions of nonnegative numbers occur, so entries
-    keep componentwise relative accuracy regardless of the spectral gap.
+    the highest index down, one block [lo, hi) at a time, in three phases:
+    the block rows among themselves (rows below lo never feed them); the
+    coupling panel A[:lo, lo:hi], folded as a contiguous transposed copy and
+    written back for the back-substitution; and the leading quadrant, which
+    receives one matrix product in row chunks of about _BLOCK_ENTRIES
+    entries. Every entry sees the same IEEE operations in the same order as
+    with strided rank-1 panel updates and one whole product per block, so
+    the vector is the same bit for bit. That needs the chunked product to
+    round like the whole one: OpenBLAS rounds the last lo % 8 columns
+    differently for different row counts, and numpy hands one-row products
+    to gemv, so chunks are multiples of 8 rows, and lo is chunked only when
+    it is a multiple of 8. Only additions, multiplications and divisions of
+    nonnegative numbers occur, so entries keep componentwise relative
+    accuracy regardless of the spectral gap.
     """
     A = np.array(kernel, dtype=np.float64)
     n = A.shape[0]
@@ -414,22 +428,25 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     while hi > 1:
         lo = max(1, hi - block)
         b = hi - lo
-        U = np.empty((lo, b))
-        V = np.empty((b, lo))
+        s = np.empty(b)
         for t in range(b - 1, -1, -1):
             e = lo + t
-            s = A[e, :e].sum()
-            if not s > 0.0:
+            s[t] = A[e, :e].sum()
+            if not s[t] > 0.0:
                 raise ConvergenceError(
                     "kernel is reducible (an eliminated state cannot reach lower states)"
                 )
-            A[:e, e] /= s
-            if t > 0:
-                A[lo:e, :e] += A[lo:e, e, None] * A[e, None, :e]
-                A[:lo, lo:e] += A[:lo, e, None] * A[e, None, lo:e]
-            U[:, t] = A[:lo, e]
-            V[t] = A[e, :lo]
-        A[:lo, :lo] += U @ V
+            A[lo:e, e] /= s[t]
+            A[lo:e, :e] += A[lo:e, e, None] * A[e, None, :e]
+        P = A[:lo, lo:hi].T.copy()
+        for t in range(b - 1, -1, -1):
+            P[t] /= s[t]
+            P[:t] += A[lo + t, lo:lo + t, None] * P[t, None, :]
+        A[:lo, lo:hi] = P.T
+        T, U, V = A[:lo, :lo], A[:lo, lo:hi], A[lo:hi, :lo]
+        rows = max(8, _BLOCK_ENTRIES // lo // 8 * 8) if lo % 8 == 0 else lo
+        for r in range(0, lo, rows):
+            T[r:r + rows] += U[r:r + rows] @ V
         hi = lo
     mu = np.empty(n)
     mu[0] = 1.0

@@ -22,23 +22,6 @@ import numpy as np
 from .errors import CapExceededError
 
 
-@dataclass(frozen=True)
-class GameParams:
-    """Instance size: m objects, n symbols, N agents."""
-
-    m: int
-    n: int
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need at least 2 objects, got m={self.m}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 symbols, got n={self.n}")
-        if self.N < 2:
-            raise ValueError(f"need at least 2 agents, got N={self.N}")
-
-
 def language_count(m: int, n: int) -> int:
     """Number of languages on m objects and n symbols."""
     return m**n * n**m
@@ -85,13 +68,6 @@ class Language:
         speak = tuple((speak_index // n**i) % n for i in range(m))
         hear = tuple((hear_index // m**j) % m for j in range(n))
         return cls(m, n, speak, hear)
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "speak": list(self.speak), "hear": list(self.hear)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> Language:
-        return cls(int(data["m"]), int(data["n"]), tuple(data["speak"]), tuple(data["hear"]))
 
 
 def enumerate_languages(m: int, n: int) -> list[Language]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from signalgame.chain import (
     ResistanceGraph,
     StateSpace,
     _ChainModel,
+    _gth_stationary,
     _outer,
     make_chain,
     optimal_state_indices,
@@ -32,7 +34,7 @@ from signalgame.dynamics import (
     _step_imitation_ids,
     _step_localized_ids,
 )
-from signalgame.errors import CapExceededError
+from signalgame.errors import CapExceededError, ConvergenceError
 from signalgame.languages import Language, get_table, language_count, permute
 
 
@@ -527,7 +529,97 @@ class TestKernelMemoryCheck:
         assert chain.kernel(0.1).shape == (256, 256)
 
 
+def reference_gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
+    """The blocked GTH solver as it stood before its panel fold and chunked product:
+    strided rank-1 updates of the coupling columns and one whole product per block."""
+    A = np.array(kernel, dtype=np.float64)
+    n = A.shape[0]
+    hi = n
+    while hi > 1:
+        lo = max(1, hi - block)
+        b = hi - lo
+        U = np.empty((lo, b))
+        V = np.empty((b, lo))
+        for t in range(b - 1, -1, -1):
+            e = lo + t
+            s = A[e, :e].sum()
+            if not s > 0.0:
+                raise ConvergenceError(
+                    "kernel is reducible (an eliminated state cannot reach lower states)"
+                )
+            A[:e, e] /= s
+            if t > 0:
+                A[lo:e, :e] += A[lo:e, e, None] * A[e, None, :e]
+                A[:lo, lo:e] += A[:lo, e, None] * A[e, None, lo:e]
+            U[:, t] = A[:lo, e]
+            V[t] = A[e, :lo]
+        A[:lo, :lo] += U @ V
+        hi = lo
+    mu = np.empty(n)
+    mu[0] = 1.0
+    for j in range(1, n):
+        mu[j] = mu[:j] @ A[:j, j]
+    return mu / mu.sum()
+
+
+def random_kernel(n: int, seed: int) -> np.ndarray:
+    kernel = np.random.default_rng(seed).random((n, n)) ** 3
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    return kernel
+
+
 class TestStationary:
+    @pytest.fixture(scope="class")
+    def kernel700(self):
+        return random_kernel(700, 5)
+
+    @pytest.mark.parametrize("block", [1, 7, 160, 700, 1000])
+    def test_matches_reference_bitwise(self, kernel700, block):
+        assert np.array_equal(_gth_stationary(kernel700, block), reference_gth_stationary(kernel700, block))
+
+    # 2048 states: the first blocks update their leading quadrant in row chunks.
+    # 2052 states: no lo is a multiple of 8, so every block keeps one whole product;
+    # row chunks would change the last bits of about half the masses here.
+    @pytest.mark.parametrize("n", [2048, 2052])
+    def test_matches_reference_bitwise_chunked(self, n):
+        kernel = random_kernel(n, n)
+        assert np.array_equal(_gth_stationary(kernel), reference_gth_stationary(kernel))
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_matches_reference_bitwise_222(self, table22, dynamic):
+        params = (ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3) if dynamic == "imitation"
+                  else LocalParams.uniform(epsilon=0.1, N=2, p=0.5))
+        kernel = make_chain(table22, params).kernel(0.1)
+        assert np.array_equal(_gth_stationary(kernel), reference_gth_stationary(kernel))
+
+    def test_matches_reference_bitwise_223_tied_row(self, imitation223):
+        # The sweep row whose top state breaks an exact tie between 1365 and 2730 by roundoff.
+        kernel = imitation223.kernel(0.003)
+        mu = _gth_stationary(kernel)
+        assert np.array_equal(mu, reference_gth_stationary(kernel))
+        assert mu.argmax() == 2730
+
+    def test_reducible_kernel_is_refused(self):
+        # Two closed blocks of 200 states: eliminating the upper one from the top
+        # reaches state 200, which has no way down, in the solver's second block.
+        kernel = np.zeros((400, 400))
+        for lo in (0, 200):
+            kernel[lo:lo + 200, lo:lo + 200] = random_kernel(200, lo)
+        with pytest.raises(ConvergenceError, match="kernel is reducible"):
+            stationary(kernel)
+
+    def test_peak_memory_is_about_one_working_copy(self):
+        # The product of each block is added in chunks, not held whole beside the copy.
+        n = 2400
+        kernel = random_kernel(n, 3)
+        tracemalloc.start()
+        try:
+            stationary(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
+
     def test_two_state_symmetric(self):
         kernel = np.array([[0.8, 0.2], [0.2, 0.8]])
         assert stationary(kernel).tolist() == [0.5, 0.5]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from signalgame.errors import CapExceededError
 from signalgame.languages import (
-    GameParams,
     Language,
     LanguageTable,
     Profile,
@@ -57,16 +56,6 @@ def profiles_with_deviation(draw):
     profile = Profile.from_ids(m, n, ids)
     deviated = Profile.from_ids(m, n, ids[:agent] + [new_id] + ids[agent + 1:])
     return profile, deviated, agent
-
-
-class TestGameParams:
-    def test_valid(self):
-        GameParams(2, 3, 5)
-
-    @pytest.mark.parametrize("m,n,N", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
-    def test_invalid(self, m, n, N):
-        with pytest.raises(ValueError):
-            GameParams(m, n, N)
 
 
 class TestCrossTrace:
@@ -297,10 +286,6 @@ class TestIds:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Language.from_id(2, 2, 16)
-
-    def test_json_roundtrip(self):
-        a = lang(3, 2, (1, 0, 1), (2, 0))
-        assert Language.from_json_dict(a.to_json_dict()) == a
 
 
 class TestValidation:
