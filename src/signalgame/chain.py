@@ -24,8 +24,8 @@ Stationary solves use a blocked Grassmann-Taksar-Heyman elimination:
 subtraction-free, so componentwise accurate even when the spectral gap is
 tiny. Each block eliminates its own rows, folds its coupling panel in a
 contiguous copy, and updates the leading quadrant by a matrix product in
-row chunks; the arithmetic per entry, and so the result bit for bit, is that
-of the unblocked order with one whole product per block.
+row chunks. The layout is chosen for memory access only: every entry gets
+the same IEEE operations in the same order, so the result is fixed bit for bit.
 """
 
 from __future__ import annotations
@@ -227,7 +227,8 @@ class _ChainModel:
     def kernel(self, eps: float) -> np.ndarray:
         """Dense one-step transition matrix at a fixed epsilon. Raises CapExceededError
         before allocating if it and the GTH working copy, 2 * V**2 * 8 bytes, exceed
-        physical memory; the solver's other buffers take O(V * block) more."""
+        physical memory. The solver adds O(V * block) bytes and one product chunk of
+        _BLOCK_ENTRIES doubles, as V is a multiple of 8 for every K**N that fits."""
         if 2 * self.space.size**2 * 8 > _physical_memory():
             raise CapExceededError(f"a dense kernel on {self.space.size} states and its GTH "
                                    "working copy would not fit in physical memory")
@@ -412,15 +413,15 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     coupling panel A[:lo, lo:hi], folded as a contiguous transposed copy and
     written back for the back-substitution; and the leading quadrant, which
     receives one matrix product in row chunks of about _BLOCK_ENTRIES
-    entries. Every entry sees the same IEEE operations in the same order as
-    with strided rank-1 panel updates and one whole product per block, so
-    the vector is the same bit for bit. That needs the chunked product to
-    round like the whole one: OpenBLAS rounds the last lo % 8 columns
-    differently for different row counts, and numpy hands one-row products
-    to gemv, so chunks are multiples of 8 rows, and lo is chunked only when
-    it is a multiple of 8. Only additions, multiplications and divisions of
-    nonnegative numbers occur, so entries keep componentwise relative
-    accuracy regardless of the spectral gap.
+    entries. Per entry this is the arithmetic of rank-1 folds into the
+    panel and one whole product per block into the quadrant, so the vector
+    does not depend on the layout, bit for bit. That needs each chunk to
+    round like the whole product: numpy's OpenBLAS rounds the last lo % 8
+    columns differently for different row counts, and numpy hands one-row
+    products to gemv, so chunks are multiples of 8 rows, and lo is chunked
+    only when it is a multiple of 8. Only additions, multiplications and
+    divisions of nonnegative numbers occur, so entries keep componentwise
+    relative accuracy regardless of the spectral gap.
     """
     A = np.array(kernel, dtype=np.float64)
     n = A.shape[0]

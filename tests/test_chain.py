@@ -569,21 +569,15 @@ def random_kernel(n: int, seed: int) -> np.ndarray:
 
 
 class TestStationary:
-    @pytest.fixture(scope="class")
-    def kernel700(self):
-        return random_kernel(700, 5)
-
-    @pytest.mark.parametrize("block", [1, 7, 160, 700, 1000])
-    def test_matches_reference_bitwise(self, kernel700, block):
-        assert np.array_equal(_gth_stationary(kernel700, block), reference_gth_stationary(kernel700, block))
-
-    # 2048 states: the first blocks update their leading quadrant in row chunks.
-    # 2052 states: no lo is a multiple of 8, so every block keeps one whole product;
-    # row chunks would change the last bits of about half the masses here.
-    @pytest.mark.parametrize("n", [2048, 2052])
-    def test_matches_reference_bitwise_chunked(self, n):
+    # 700 states: a partial last block, one block and a block larger than n. 2048 states:
+    # the first blocks update their leading quadrant in row chunks. 2052 states: no lo is
+    # a multiple of 8, so every block keeps one whole product; row chunks would change
+    # the last bits of about half the masses here.
+    @pytest.mark.parametrize("n,block", [(700, 1), (700, 7), (700, 160), (700, 700), (700, 1000),
+                                         (2048, 160), (2052, 160)])
+    def test_matches_reference_bitwise(self, n, block):
         kernel = random_kernel(n, n)
-        assert np.array_equal(_gth_stationary(kernel), reference_gth_stationary(kernel))
+        assert np.array_equal(_gth_stationary(kernel, block), reference_gth_stationary(kernel, block))
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_matches_reference_bitwise_222(self, table22, dynamic):
@@ -608,8 +602,9 @@ class TestStationary:
         with pytest.raises(ConvergenceError, match="kernel is reducible"):
             stationary(kernel)
 
-    def test_peak_memory_is_about_one_working_copy(self):
-        # The product of each block is added in chunks, not held whole beside the copy.
+    def test_peak_memory_stays_below_one_and_a_half_copies(self):
+        # One working copy plus panels and a product chunk; a whole lo x lo product
+        # beside the copy would take it to about 2.
         n = 2400
         kernel = random_kernel(n, 3)
         tracemalloc.start()
