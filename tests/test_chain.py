@@ -31,6 +31,8 @@ from signalgame.chain import (
 from signalgame.dynamics import (
     ImitationParams,
     LocalParams,
+    _Replay,
+    _score,
     _step_imitation_ids,
     _step_localized_ids,
 )
@@ -194,12 +196,12 @@ class TestMonteCarloCrossCheck:
         table = chain.table
         space = StateSpace(table, len(state))
         row = chain.transition_row(state, eps)
-        rng = np.random.default_rng(seed)
+        draws = _Replay(np.random.default_rng(seed))
         counts = np.zeros(space.size)
-        base = np.asarray(state)
-        fit = table.fitness_scaled_ids(base)
+        ids = list(state)
+        _, lf = _score(ids, lambda a: table.payoff[a].tolist())
         for _ in range(trials):
-            counts[space.encode(step(base, fit, table, params, rng))] += 1
+            counts[space.encode(step(ids, lf, table, params, draws))] += 1
         assert counts[row == 0.0].sum() == 0  # nothing impossible ever sampled
         # three standard errors in count space, plus a small slack that
         # absorbs Poisson discreteness on the near-zero-probability entries

@@ -115,14 +115,17 @@ class TestSimulate:
         assert (out / "traj_seed1.csv").exists()
 
     def test_fig4_matches_benchmark_reference(self, tmp_path, capsys):
-        workloads = _perfbench_workloads()
-        argv = ["simulate", "--preset", "fig4", "--seed", "0", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
-        capsys.readouterr()
-        ref = json.loads((workloads.REFS / "fig4.json").read_text())["0"]
-        sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("traj_seed0.csv", "summary.json")}
-        assert sha == {"traj_seed0.csv": ref["csv_sha256"], "summary.json": ref["summary_sha256"]}
+        refs = json.loads((_perfbench_workloads().REFS / "fig4.json").read_text())
+        for seed in range(3):
+            out = tmp_path / str(seed)
+            argv = ["simulate", "--preset", "fig4", "--seed", str(seed), "--out", str(out)]
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            sha = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in (f"traj_seed{seed}.csv", "summary.json")}
+            ref = refs[str(seed)]
+            assert sha == {f"traj_seed{seed}.csv": ref["csv_sha256"],
+                           "summary.json": ref["summary_sha256"]}
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

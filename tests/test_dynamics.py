@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalgame.dynamics import (
     ImitationParams,
     LocalParams,
     Trajectory,
     TrajectoryRecord,
+    _BLOCK,
+    _Replay,
+    _below,
+    _score,
     _step_imitation_ids,
     _step_localized_ids,
     random_profile_ids,
@@ -20,6 +26,13 @@ from signalgame.languages import Language, Profile, trace_raising_neighbor, get_
 ALIGNED = Language(2, 2, (0, 1), (0, 1))
 SWAPPED = Language(2, 2, (1, 0), (1, 0))
 POOLING = Language(2, 2, (0, 0), (0, 0))
+
+
+def _step(step, ids, table, params, draws):
+    """One step of ``step`` from the id vector ``ids``, scored as ``run`` scores it."""
+    ids = [int(a) for a in ids]
+    _, lf = _score(ids, lambda a: table.payoff[a].tolist())
+    return np.array(step(ids, lf, table, params, draws))
 
 
 class TestParams:
@@ -45,10 +58,9 @@ class TestStepImitation:
         table = get_table(2, 2)
         params = ImitationParams.uniform(epsilon=0.0, d=2, N=4, p=0.5)
         ids = np.full(4, POOLING.id)
-        fit = table.fitness_scaled_ids(ids)
-        rng = np.random.default_rng(0)
+        draws = _Replay(np.random.default_rng(0))
         for _ in range(200):
-            assert _step_imitation_ids(ids, fit, table, params, rng).tolist() == ids.tolist()
+            assert _step(_step_imitation_ids, ids, table, params, draws).tolist() == ids.tolist()
 
     def test_reaches_homogeneous_from_any_start(self):
         table = get_table(2, 2)
@@ -56,8 +68,9 @@ class TestStepImitation:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             ids = random_profile_ids(table, 5, rng)
+            draws = _Replay(rng)
             for _ in range(200):
-                ids = _step_imitation_ids(ids, table.fitness_scaled_ids(ids), table, params, rng)
+                ids = _step(_step_imitation_ids, ids, table, params, draws)
                 if len(set(ids.tolist())) == 1:
                     break
             assert len(set(ids.tolist())) == 1
@@ -67,10 +80,11 @@ class TestStepImitation:
         params = ImitationParams.uniform(epsilon=0.0, d=3, N=6, p=0.5)
         rng = np.random.default_rng(1)
         ids = random_profile_ids(table, 6, rng)
+        draws = _Replay(rng)
         for _ in range(60):
             fit = table.fitness_scaled_ids(ids)
             argmax_langs = set(ids[fit == fit.max()].tolist())
-            new = _step_imitation_ids(ids, fit, table, params, rng)
+            new = _step(_step_imitation_ids, ids, table, params, draws)
             for old, fresh in zip(ids, new):
                 if fresh != old:
                     assert int(fresh) in argmax_langs
@@ -86,10 +100,10 @@ class TestStepImitation:
         fit = table.fitness_scaled_ids(ids)
         assert list(fit == fit.max()) == [True, True, False]
         params = ImitationParams.uniform(epsilon=0.0, d=2, N=3, p=0.9)
-        rng = np.random.default_rng(2)
+        draws = _Replay(np.random.default_rng(2))
         outcomes = set()
         for _ in range(300):
-            outcomes.add(tuple(_step_imitation_ids(ids, fit, table, params, rng).tolist()))
+            outcomes.add(tuple(_step(_step_imitation_ids, ids, table, params, draws).tolist()))
         aligned_id = ALIGNED.id
         assert (aligned_id,) * 3 in outcomes
         for out in outcomes:
@@ -99,12 +113,11 @@ class TestStepImitation:
     def test_mutation_support_is_the_disk(self):
         table = get_table(2, 2)
         params = ImitationParams.uniform(epsilon=0.999, d=1, N=2, p=0.9)
-        rng = np.random.default_rng(3)
+        draws = _Replay(np.random.default_rng(3))
         start = np.array([POOLING.id, ALIGNED.id])
-        fit = table.fitness_scaled_ids(start)
         seen: dict[int, set[int]] = {0: set(), 1: set()}
         for _ in range(4000):
-            out = _step_imitation_ids(start, fit, table, params, rng)
+            out = _step(_step_imitation_ids, start, table, params, draws)
             for agent in (0, 1):
                 if out[agent] != start[agent]:
                     seen[agent].add(int(out[agent]))
@@ -127,11 +140,10 @@ class TestStepImitation:
         params = ImitationParams.uniform(epsilon=0.0, d=2, N=3, p=0.5)
         fixed = set()
         for seed in range(40):
-            rng = np.random.default_rng(seed)
+            draws = _Replay(np.random.default_rng(seed))
             state = ids.copy()
             for _ in range(60):
-                fit = table.fitness_scaled_ids(state)
-                state = _step_imitation_ids(state, fit, table, params, rng)
+                state = _step(_step_imitation_ids, state, table, params, draws)
                 if len(set(state.tolist())) == 1:
                     break
             fixed.add(int(state[0]))
@@ -142,11 +154,10 @@ class TestStepImitation:
         fit = table.fitness_scaled_ids(ids)
         assert fit[2] < fit.max()
         params = ImitationParams.uniform(epsilon=0.0, d=2, N=3, p=0.5)
-        rng = np.random.default_rng(4)
+        draws = _Replay(np.random.default_rng(4))
         state = ids.copy()
         for _ in range(100):
-            fit = table.fitness_scaled_ids(state)
-            state = _step_imitation_ids(state, fit, table, params, rng)
+            state = _step(_step_imitation_ids, state, table, params, draws)
         assert state.tolist() == [ALIGNED.id] * 3
 
 
@@ -155,10 +166,9 @@ class TestStepLocalized:
         table = get_table(2, 2)
         params = LocalParams.uniform(epsilon=0.0, N=3, p=0.5)
         ids = np.full(3, SWAPPED.id)
-        fit = table.fitness_scaled_ids(ids)
-        rng = np.random.default_rng(5)
+        draws = _Replay(np.random.default_rng(5))
         for _ in range(200):
-            assert _step_localized_ids(ids, fit, table, params, rng).tolist() == ids.tolist()
+            assert _step(_step_localized_ids, ids, table, params, draws).tolist() == ids.tolist()
 
     def test_full_neighbourhoods_imitate_global_argmax(self):
         # with p_ij = 1 and a unique fittest agent, one step conforms everyone
@@ -166,19 +176,17 @@ class TestStepLocalized:
         crossed = Language(2, 2, (0, 1), (1, 0))
         ids = np.array([ALIGNED.id, ALIGNED.id, crossed.id])
         params = LocalParams.uniform(epsilon=0.0, N=3, p=1.0)
-        rng = np.random.default_rng(6)
-        out = _step_localized_ids(ids, table.fitness_scaled_ids(ids), table, params, rng)
+        out = _step(_step_localized_ids, ids, table, params, _Replay(np.random.default_rng(6)))
         assert out.tolist() == [ALIGNED.id] * 3
 
     def test_mutation_support_is_everything(self):
         table = get_table(2, 2)
         params = LocalParams.uniform(epsilon=0.999, N=2, p=0.5)
-        rng = np.random.default_rng(7)
+        draws = _Replay(np.random.default_rng(7))
         start = np.array([POOLING.id, POOLING.id])
-        fit = table.fitness_scaled_ids(start)
         seen = set()
         for _ in range(3000):
-            out = _step_localized_ids(start, fit, table, params, rng)
+            out = _step(_step_localized_ids, start, table, params, draws)
             seen.update(out.tolist())
         assert seen == set(range(table.size))
 
@@ -187,9 +195,9 @@ class TestStepLocalized:
         crossed = Language(2, 2, (0, 1), (1, 0))
         ids = np.array([ALIGNED.id] * 3 + [crossed.id])
         params = LocalParams.uniform(epsilon=0.0, N=4, p=0.5)
-        rng = np.random.default_rng(8)
+        draws = _Replay(np.random.default_rng(8))
         for _ in range(300):
-            out = _step_localized_ids(ids, table.fitness_scaled_ids(ids), table, params, rng)
+            out = _step(_step_localized_ids, ids, table, params, draws)
             assert all(lid == ALIGNED.id for lid in out[:3])
 
 
@@ -263,6 +271,87 @@ class TestRun:
             run(ids, "imitation", LocalParams.uniform(0.1, 2, 0.5), 5, rng=0, table=table)
         with pytest.raises(ValueError):
             run(ids, "annealing", ImitationParams.uniform(0.1, 1, 2, 0.5), 5, rng=0, table=table)
+
+    def test_rejects_ids_outside_the_table(self):
+        params = ImitationParams.uniform(0.1, 1, 2, 0.5)
+        for ids in ([0, 16], [-1, 3]):
+            with pytest.raises(ValueError, match="language ids"):
+                run(np.array(ids), "imitation", params, 5, rng=0, table=get_table(2, 2))
+
+    def test_rejects_generators_outside_the_contract(self):
+        # the replay reproduces PCG64's draws only
+        ids = np.array(Profile((ALIGNED, POOLING)).ids())
+        params = ImitationParams.uniform(0.1, 1, 2, 0.5)
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            run(ids, "imitation", params, 5, rng=rng, table=get_table(2, 2))
+        assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()  # untouched
+
+
+# -- the raw replay against the live Generator -------------------------------------------
+
+# Lemire's method rejects about a quarter of the 32-bit draws for this bound.
+_REJECTING_K = 3 * 2**30 + 1
+
+
+def _probabilities():
+    """p = 0, p = 1, dyadic j / 2**53 and arbitrary floats in [0, 1], with their neighbours."""
+    dyadic = st.integers(0, 2**53).map(lambda j: j * 2.0**-53)
+    base = st.one_of(st.sampled_from([0.0, 1.0]), dyadic, st.floats(0.0, 1.0))
+    return base.flatmap(lambda p: st.sampled_from(
+        [p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, 1.0))]))
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("random"), st.lists(_probabilities(), min_size=1, max_size=4)),
+    st.tuples(st.just("vector"), st.integers(1, 12)),
+    st.tuples(st.just("integers"),
+              st.one_of(st.sampled_from([1, 2, 3, 10, 729, _REJECTING_K, 2**32]),
+                        st.integers(1, 2**32))),
+), max_size=60)
+
+
+class TestReplay:
+    @given(p=_probabilities(), offset=st.integers(-2**12, 2**12))
+    def test_threshold_is_exact(self, p, offset):
+        x = min(max(_below(p) + offset, 0), 2**64 - 1)
+        assert (x < _below(p)) == ((x >> 11) * 2.0**-53 < p)
+
+    @given(seed=st.integers(0, 2**64 - 1), primer=st.integers(0, 3), ops=_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_generator(self, seed, primer, ops):
+        # primer 1 and 3 leave a buffered high half; 2 leaves a consumed, stale one
+        live = np.random.default_rng(seed)
+        replayed = np.random.default_rng(seed)
+        for rng in (live, replayed):
+            rng.integers(5, size=primer)
+        draws = _Replay(replayed)
+        for op, arg in ops:
+            if op == "random":
+                pos = draws.reserve(1)
+                x = draws.raw[pos]
+                draws.pos = pos + 1
+                u = live.random()
+                assert (x >> 11) * 2.0**-53 == u
+                assert [x < _below(p) for p in arg] == [u < p for p in arg]
+            elif op == "vector":
+                pos = draws.reserve(arg)
+                xs = draws.raw[pos:pos + arg]
+                draws.pos = pos + arg
+                assert [(x >> 11) * 2.0**-53 for x in xs] == live.random(arg).tolist()
+            else:
+                value, draws.pos = draws.integers(arg, draws.reserve(1))
+                assert value == live.integers(arg)
+        draws.release()
+        assert replayed.bit_generator.state == live.bit_generator.state
+        assert replayed.random() == live.random()
+
+    def test_rejections_fire(self):
+        # about a quarter of the draws at this bound are rejected and redrawn
+        draws = _Replay(np.random.default_rng(0))
+        for _ in range(200):
+            _, draws.pos = draws.integers(_REJECTING_K, draws.reserve(1))
+        assert len(draws.raw) - _BLOCK > 20  # one value appended per rejection
 
 
 # -- oracle: the step, record and CSV code as it was before fitness was shared ----------
@@ -351,11 +440,11 @@ class TestMatchesOracle:
     N = 6
     HORIZON = 150
 
-    def _params(self, dynamic, seed):
+    def _params(self, dynamic, seed, N=N):
         if dynamic == "imitation":
-            return ImitationParams.uniform(epsilon=0.2, d=2, N=self.N, p=0.4)
+            return ImitationParams.uniform(epsilon=0.2, d=2, N=N, p=0.4)
         # a non-uniform p_ij matrix, so each agent reads its own row
-        matrix = np.random.default_rng(1000 + seed).uniform(0.05, 1.0, (self.N, self.N))
+        matrix = np.random.default_rng(1000 + seed).uniform(0.05, 1.0, (N, N))
         return LocalParams(0.2, tuple(tuple(row) for row in matrix.tolist()))
 
     @pytest.mark.parametrize("record_every", [1, 3])
@@ -371,3 +460,23 @@ class TestMatchesOracle:
             oracle = _oracle_run(initial, dynamic, params, self.HORIZON, record_every, seed, table)
             assert [rec.ids for rec in traj.records] == [rec["ids"] for rec in oracle]
             assert traj.to_csv() == _oracle_csv(traj.aligned_ids, oracle)
+
+    @pytest.mark.parametrize("N", [5, 7])
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_shared_generator_odd_n(self, dynamic, N):
+        # as in cmd_simulate, the initial profile and the run share one generator;
+        # an odd N leaves the high half of a 32-bit draw buffered for the run
+        table = get_table(3, 3)
+        for seed in range(3):
+            params = self._params(dynamic, seed, N)
+            rng = np.random.default_rng(seed)
+            initial = random_profile_ids(table, N, rng)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            oracle_rng = np.random.default_rng(seed)
+            assert random_profile_ids(table, N, oracle_rng).tolist() == initial.tolist()
+            traj = run(initial.copy(), dynamic, params, self.HORIZON, 1, rng=rng, table=table)
+            oracle = _oracle_run(initial, dynamic, params, self.HORIZON, 1, oracle_rng, table)
+            assert [rec.ids for rec in traj.records] == [rec["ids"] for rec in oracle]
+            assert traj.to_csv() == _oracle_csv(traj.aligned_ids, oracle)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert rng.integers(table.size) == oracle_rng.integers(table.size)
