@@ -170,8 +170,11 @@ class _Replay:
 
 
 def _score(ids: list[int], row) -> tuple[dict[int, int], dict[int, int]]:
-    """The {language: count} map and lf[a] = sum_c n_c row(a)[c] - row(a)[a], the scaled
-    fitness of every agent using language a (``row(a)`` is payoff row a)."""
+    """Count the languages of the profile ``ids`` and score each occupied one.
+
+    lf[a] = sum_c n_c row(a)[c] - row(a)[a] is the scaled fitness of every agent
+    using language a, where ``row(a)`` is payoff row a.
+    """
     counts: dict[int, int] = {}
     for a in ids:
         counts[a] = counts.get(a, 0) + 1
@@ -336,7 +339,7 @@ def run(
         raise ValueError(f"language ids must lie in [0, {table.size})")
 
     traj = Trajectory(table.m, table.n, N, dynamic, seed, tuple(table.aligned_ids.tolist()))
-    # payoff rows as bytes, read on first use
+    # payoff rows as bytes (entries are at most 2 min(m, n)), read on first use
     row = cache(lambda a: table.payoff[a].astype(np.uint8).tobytes())
     counts, lf = _score(ids, row)
     fields = _record_fields(ids, counts, lf, traj.aligned_ids)

@@ -32,6 +32,7 @@ def _step(step, ids, table, params, draws):
     """One step of ``step`` from the id vector ``ids``, scored as ``run`` scores it."""
     ids = [int(a) for a in ids]
     _, lf = _score(ids, lambda a: table.payoff[a].tolist())
+    assert [lf[a] for a in ids] == table.fitness_scaled_ids(np.array(ids)).tolist()
     return np.array(step(ids, lf, table, params, draws))
 
 
