@@ -88,9 +88,6 @@ class StateSpace:
     def expand(self, costs: np.ndarray) -> np.ndarray:
         return _outer(costs, np.add)
 
-    def labelled(self, classes: list[list[int]]) -> list[list[int]]:
-        return classes
-
 
 def _ids(states: np.ndarray, K: int, N: int) -> np.ndarray:
     """(len, N) language ids of labelled state indices, agent 0 most significant."""
@@ -104,7 +101,7 @@ def _codes(ids: np.ndarray, K: int) -> np.ndarray:
 
 class MultisetSpace:
     """Multisets of N languages: row v is the sorted representative of multiset v,
-    in lexicographic order (C(K+N-1, N) rows), and ``codes[v]`` its labelled index.
+    in lexicographic order (C(K+N-1, N) rows).
     ``_insert[i][t, l]`` is the multiset of i + 1 languages that adds l to t."""
 
     def __init__(self, table, n_agents: int):
@@ -122,7 +119,7 @@ class MultisetSpace:
             self._gather.append(np.column_stack([
                 np.searchsorted(prev, _codes(np.delete(rows, p, axis=1), K)) * K + rows[:, p]
                 for p in range(i + 1)]))
-        self.rows, self.size, self.codes = rows, len(rows), _codes(rows, K)
+        self.rows, self.size = rows, len(rows)
 
     def all_ids(self) -> np.ndarray:
         return self.rows
@@ -139,13 +136,6 @@ class MultisetSpace:
             joint = (joint[:, :, None] + costs[:, i, None, :]).reshape(len(costs), -1)
             joint = joint[:, gather].min(axis=2)
         return joint
-
-    def labelled(self, classes: list[list[int]]) -> list[list[int]] | None:
-        """Labelled indices of the classes when each is one homogeneous state, else None."""
-        heads = [cls[0] for cls in classes]
-        if all(len(cls) == 1 for cls in classes) and (self.rows[heads].T == self.rows[heads, 0]).all():
-            return [[int(v)] for v in self.codes[heads]]
-        return None
 
 
 def _outer(factors: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -241,19 +231,21 @@ class _ChainModel:
     @cached_property
     def _search(self) -> tuple:
         """(space, closed classes of the eps=0 chain as its indices and as labelled
-        indices, zero-resistance graph). Multisets are searched when every agent
-        uses one probability; a multiset class that is not one homogeneous state
-        has no exact labelled image, so then labelled states are searched."""
+        indices, their language ids or None, per-agent resistances, zero-resistance
+        graph). Multisets are searched when every agent uses one probability; a
+        multiset class that is not one homogeneous state has no exact labelled
+        image, so then labelled states are searched."""
         spaces = [self.space]  # raises above the cap
         if self.shared_prob is not None:
             spaces.insert(0, MultisetSpace(self.table, self.n_agents))
         for space in spaces:
+            ids = space.all_ids()
+            res = self._resistances(ids)
             # Free moves grow one agent at a time: each partial move is extended by
             # every language that agent can adopt at no cost.
-            free = self.per_agent_dists(space.all_ids(), 0.0) > 0.0
             srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
             for i in range(self.n_agents):
-                edge, lid = np.nonzero(free[srcs, i])
+                edge, lid = np.nonzero(res[srcs, i] == 0)
                 srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
             graph = csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)),
                                shape=(space.size, space.size))
@@ -266,9 +258,12 @@ class _ChainModel:
             closed = closed[np.argsort(labels[closed], kind="stable")]
             cuts = np.flatnonzero(np.diff(labels[closed])) + 1
             classes = sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
-            labelled = space.labelled(classes)
-            if labelled is not None:
-                return space, classes, labelled, graph
+            heads = ids[[cls[0] for cls in classes]]
+            homogeneous = all(len(cls) == 1 for cls in classes) and (heads.T == heads[:, 0]).all()
+            if homogeneous or space is self.space:
+                codes = _codes(ids, self.table.size)
+                lang_ids = heads[:, 0].tolist() if homogeneous else None
+                return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, graph
 
     def recurrent_classes(self) -> list[list[int]]:
         """Closed communication classes of the unperturbed (eps=0) chain."""
@@ -288,9 +283,8 @@ class _ChainModel:
         levels in a row that add no state.
         """
         labelled = self.recurrent_classes()
-        space, classes, _, free = self._search
+        space, classes, _, lang_ids, res, free = self._search
         V, N = space.size, self.n_agents
-        res = self._resistances(space.all_ids())
         # Impossible per-agent moves cost N + 1, so their sums exceed N without overflowing.
         cost = np.where(np.isfinite(res), res, N + 1).astype(np.min_scalar_type(N * (N + 1)))
         unreached = np.iinfo(np.int32).max
@@ -316,8 +310,7 @@ class _ChainModel:
                     new[at] |= (block <= c).astype(np.float32) @ target > 0
             new &= dist == unreached
         r = np.array([dist[cls].min(axis=0) for cls in classes])
-        return ResistanceGraph(classes=labelled, r=np.where(r == unreached, _INF, r),
-                               space=self.space)
+        return ResistanceGraph(labelled, np.where(r == unreached, _INF, r), lang_ids)
 
 
 class ImitationChain(_ChainModel):
@@ -479,7 +472,7 @@ class ResistanceGraph:
 
     classes: list[list[int]]
     r: np.ndarray
-    space: StateSpace
+    lang_ids: list[int] | None = None  # when every class is one homogeneous state
 
     def __post_init__(self) -> None:
         finite = np.isfinite(self.r)
@@ -492,19 +485,10 @@ class ResistanceGraph:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_language_ids(self) -> list[int] | None:
-        """Language ids when every class is a single homogeneous state, else None."""
-        heads = np.array([cls[0] for cls in self.classes])
-        ids = _ids(heads, self.space.table.size, self.space.n_agents)
-        if all(len(cls) == 1 for cls in self.classes) and (ids.T == ids[:, 0]).all():
-            return ids[:, 0].tolist()
-        return None
-
 
 @dataclass
 class StochasticPotentialResult:
     gamma: np.ndarray
-    trees: list[dict[int, int]]
     minimizers: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -517,14 +501,11 @@ def stochastic_potential(rg: ResistanceGraph) -> StochasticPotentialResult:
     weights = rg.r.astype(float).copy()
     np.fill_diagonal(weights, _INF)
     gammas = np.empty(rg.n_classes)
-    trees: list[dict[int, int]] = []
     for root in range(rg.n_classes):
-        total, successor = min_in_arborescence(weights, root)
-        if not np.isfinite(total):
+        gammas[root] = min_in_arborescence(weights, root)[0]
+        if not np.isfinite(gammas[root]):
             raise ValueError(f"no finite-resistance arborescence into class {root}")
-        gammas[root] = total
-        trees.append(successor)
-    return StochasticPotentialResult(gamma=gammas, trees=trees)
+    return StochasticPotentialResult(gamma=gammas)
 
 
 # -- stability verification -------------------------------------------------------
@@ -547,19 +528,14 @@ class VerifyReport:
     verdict: str
     notes: list[str]
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def optimal_state_indices(space: StateSpace) -> np.ndarray:
     """Indices of the homogeneous states on aligned languages."""
-    K, N = space.table.size, space.n_agents
-    factor = sum(K**i for i in range(N))
-    return np.asarray([int(lid) * factor for lid in space.table.aligned_ids])
+    aligned = space.table.aligned_ids[:, None]
+    return _codes(np.repeat(aligned, space.n_agents, axis=1), space.table.size)
 
 
 def sweep_stationary(model: _ChainModel, epsilons) -> list[dict]:
@@ -607,9 +583,8 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
 
     rg = model.least_resistance()
     sp = stochastic_potential(rg)
-    lang_ids = rg.class_language_ids()
-    homogeneous = lang_ids is not None
-    labels = lang_ids if homogeneous else [min(cls) for cls in rg.classes]
+    homogeneous = rg.lang_ids is not None
+    labels = rg.lang_ids if homogeneous else [min(cls) for cls in rg.classes]
 
     stable = sorted(labels[i] for i in sp.minimizers)
     optimal = sorted(int(x) for x in table.aligned_ids) if homogeneous else []

@@ -94,9 +94,6 @@ class RunConfig:
     preset: str | None = None
     max_states: int = DEFAULT_MAX_STATES
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors, per the interface contract."""
@@ -200,7 +197,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "eps_list", None):
         updates["epsilons"] = [float(x) for x in args.eps_list.split(",") if x.strip()]
 
-    valid = {f.name for f in dataclasses.fields(RunConfig)}
+    # the command, the preset and the cap come from argv, --preset and the environment only
+    valid = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "preset", "max_states"}
     for key, value in updates.items():
         if key not in valid:
             raise ValueError(f"unknown configuration field {key!r}")
@@ -235,7 +233,7 @@ def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
 
 def _write_metadata(out_dir: Path, cfg: RunConfig) -> None:
     metadata = {
-        "config": cfg.to_json_dict(),
+        "config": dataclasses.asdict(cfg),
         "prng": "numpy.random.default_rng (PCG64)",
         "numpy_version": np.__version__,
         "signalgame_version": __version__,
@@ -255,7 +253,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         initial = random_profile_ids(table, cfg.N, rng)
         traj = run(initial, cfg.dynamic, params, cfg.horizon, cfg.record_every,
                    rng=rng, table=table)
-        traj.seed = seed
         (out_dir / f"traj_seed{seed}.csv").write_text(traj.to_csv())
         if cfg.snapshots:
             lines = [json.dumps({"t": rec.t, "ids": list(rec.ids)}) for rec in traj.records]

@@ -253,25 +253,15 @@ class TrajectoryRecord:
 class Trajectory:
     """Time-indexed record of a single seeded run."""
 
-    m: int
-    n: int
     n_agents: int
-    dynamic: str
-    seed: int | None
     aligned_ids: tuple[int, ...]
     records: list[TrajectoryRecord] = field(default_factory=list)
-
-    def times(self) -> list[int]:
-        return [rec.t for rec in self.records]
-
-    def csv_header(self) -> str:
-        counts = ",".join(f"count_{lid}" for lid in self.aligned_ids)
-        return f"t,frac_aligned,avg_fitness,majority_lang_id,{counts}"
 
     def to_csv(self) -> str:
         N = self.n_agents
         pairs = N * (N - 1)
-        lines = [self.csv_header()]
+        census = ",".join(f"count_{lid}" for lid in self.aligned_ids)
+        lines = [f"t,frac_aligned,avg_fitness,majority_lang_id,{census}"]
         for rec in self.records:
             counts = ",".join(map(str, rec.aligned_counts))
             lines.append(
@@ -327,7 +317,6 @@ def run(
     else:
         raise ValueError(f"unknown dynamic {dynamic!r}")
 
-    seed = rng if isinstance(rng, int) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     draws = _Replay(rng)
@@ -338,7 +327,7 @@ def run(
     if min(ids) < 0 or max(ids) >= table.size:
         raise ValueError(f"language ids must lie in [0, {table.size})")
 
-    traj = Trajectory(table.m, table.n, N, dynamic, seed, tuple(table.aligned_ids.tolist()))
+    traj = Trajectory(N, tuple(table.aligned_ids.tolist()))
     # payoff rows as bytes (entries are at most 2 min(m, n)), read on first use
     row = cache(lambda a: table.payoff[a].astype(np.uint8).tobytes())
     counts, lf = _score(ids, row)

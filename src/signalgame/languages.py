@@ -298,9 +298,6 @@ class LanguageTable:
         pair = self.payoff[ids[..., :, None], ids[..., None, :]]
         return pair.sum(axis=-1, dtype=np.int64) - self.payoff[ids, ids]
 
-    def language(self, lid: int) -> Language:
-        return Language.from_id(self.m, self.n, int(lid))
-
 
 @lru_cache(maxsize=8)
 def get_table(m: int, n: int) -> LanguageTable:

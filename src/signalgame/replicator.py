@@ -70,7 +70,6 @@ class ReplicatorTrajectory:
     steps, recorded or not.
     """
 
-    dt: float
     times: np.ndarray
     states: np.ndarray
     mean_fitness_path: np.ndarray
@@ -90,7 +89,8 @@ def integrate(
     """Fixed-step RK4 flow of the replicator field from x0.
 
     ``x0`` may be a single state (K,) or a batch (B, K); batches share the
-    clock and are integrated in lockstep. Raises if renormalization cannot
+    clock and are integrated in lockstep. States are recorded at t=0, every
+    ``record_every`` steps and the final step. Raises if renormalization cannot
     keep the state within ``simplex_tol`` of the simplex.
     """
     if dt <= 0:
@@ -112,7 +112,7 @@ def integrate(
         fit *= Y
         return fit, mean
 
-    n_records = steps // record_every + 1
+    n_records = -(-steps // record_every) + 1
     times = np.empty(n_records)
     states = np.empty((n_records,) + X.shape)
     w_path = np.empty((steps + 1, X.shape[0]))
@@ -143,7 +143,7 @@ def integrate(
         X = X / sums[:, None]
         k1, mean = field(X)
         w_path[step] = mean[:, 0]
-        if step % record_every == 0:
+        if step % record_every == 0 or step == steps:
             times[rec] = step * dt
             states[rec] = X
             rec += 1
@@ -153,7 +153,6 @@ def integrate(
         states = states[:, 0, :]
         w_path = w_path[:, 0]
     return ReplicatorTrajectory(
-        dt=dt,
         times=times[:rec],
         states=states[:rec],
         mean_fitness_path=w_path,

@@ -436,7 +436,7 @@ class TestLeastResistance:
         chain = (imitation_chain(2, 2, 3) if dynamic == "imitation" else
                  LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
         assert chain.recurrent_classes() == [[lid * (1 + 16 + 256)] for lid in range(16)]
-        assert chain.least_resistance().class_language_ids() == list(range(16))
+        assert chain.least_resistance().lang_ids == list(range(16))
 
     def _check_raise_the_minimum(self, chain):
         # Levels 1 and 2 add no state, class 0 is 9 levels from class 3, and
@@ -468,12 +468,25 @@ class TestLeastResistance:
         assert_matches_oracle(chain)
         assert chain.recurrent_classes() == classes
         assert chain._search[0] is chain.space
+        assert chain.least_resistance().lang_ids is None
+
+    def test_nonuniform_chain_labels_labelled_classes(self, table22, resistance223):
+        # Agents with different revision probabilities are searched on labelled
+        # states; the free moves and the possible moves do not depend on the
+        # probabilities, so neither do the classes or which resistances are finite.
+        params = ImitationParams(epsilon=0.01, d=2, revision_probs=(0.3, 0.4, 0.5))
+        chain = ImitationChain(table22, params)
+        rg = chain.least_resistance()
+        assert chain._search[0] is chain.space
+        assert rg.classes == resistance223.classes
+        assert rg.lang_ids == list(range(16))
+        assert np.array_equal(np.isfinite(rg.r), np.isfinite(resistance223.r))
 
     def test_diagonal_zero(self, resistance223):
         assert np.all(np.diagonal(resistance223.r) == 0)
 
     def test_classes_are_languages(self, resistance223):
-        assert resistance223.class_language_ids() == list(range(16))
+        assert resistance223.lang_ids == list(range(16))
 
     def test_exit_and_entry_resistances(self, table22, resistance223):
         from signalgame.languages import trace_raising_neighbor
@@ -500,7 +513,7 @@ class TestLeastResistance:
         # rewiring argument made concrete: every unaligned root has a
         # strictly larger stochastic potential than the minimum
         result = stochastic_potential(resistance223)
-        lang_ids = resistance223.class_language_ids()
+        lang_ids = resistance223.lang_ids
         floor = result.gamma.min()
         for k, lid in enumerate(lang_ids):
             if not table22.aligned_mask[lid]:
@@ -511,7 +524,7 @@ class TestLeastResistance:
         # the arborescence minimizers are exactly the states whose mass
         # dominates the exact stationary distribution at small epsilon
         result = stochastic_potential(resistance223)
-        lang_ids = resistance223.class_language_ids()
+        lang_ids = resistance223.lang_ids
         stable_states = [
             resistance223.classes[k][0] for k in result.minimizers
         ]
@@ -647,11 +660,7 @@ class TestStationary:
 
 class TestStochasticPotential:
     def test_two_node_example(self):
-        rg = ResistanceGraph(
-            classes=[[0], [1]],
-            r=np.array([[0.0, 1.0], [2.0, 0.0]]),
-            space=StateSpace(get_table(2, 2), 1),
-        )
+        rg = ResistanceGraph(classes=[[0], [1]], r=np.array([[0.0, 1.0], [2.0, 0.0]]))
         result = stochastic_potential(rg)
         assert result.gamma.tolist() == [2.0, 1.0]
         assert result.minimizers == [1]
@@ -660,7 +669,7 @@ class TestStochasticPotential:
         r = np.zeros((3, 3))
         r[0, 1] = r[1, 2] = r[2, 0] = 1.0
         r[1, 0] = r[2, 1] = r[0, 2] = 2.0
-        rg = ResistanceGraph(classes=[[0], [1], [2]], r=r, space=StateSpace(get_table(2, 2), 1))
+        rg = ResistanceGraph(classes=[[0], [1], [2]], r=r)
         result = stochastic_potential(rg)
         assert result.gamma.tolist() == [2.0, 2.0, 2.0]
         assert result.minimizers == [0, 1, 2]
@@ -671,9 +680,7 @@ class TestStochasticPotential:
             n = int(rng.integers(2, 5))
             r = rng.integers(1, 9, size=(n, n)).astype(float)
             np.fill_diagonal(r, 0.0)
-            rg = ResistanceGraph(
-                classes=[[i] for i in range(n)], r=r, space=StateSpace(get_table(2, 2), 1)
-            )
+            rg = ResistanceGraph(classes=[[i] for i in range(n)], r=r)
             result = stochastic_potential(rg)
             weights = r.copy()
             np.fill_diagonal(weights, np.inf)
@@ -683,11 +690,7 @@ class TestStochasticPotential:
 
     def test_non_integer_resistance_rejected(self):
         with pytest.raises(ValueError):
-            ResistanceGraph(
-                classes=[[0], [1]],
-                r=np.array([[0.0, 0.5], [1.0, 0.0]]),
-                space=StateSpace(get_table(2, 2), 1),
-            )
+            ResistanceGraph(classes=[[0], [1]], r=np.array([[0.0, 0.5], [1.0, 0.0]]))
 
 
 class TestPermutationSymmetry:

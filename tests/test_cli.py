@@ -13,14 +13,28 @@ from signalgame import chain, cli
 from signalgame.chain import VerifyReport
 
 
-def _perfbench_workloads():
-    """The benchmark's workload module, which imports nothing from signalgame."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench(name: str = "workloads"):
+    """A benchmark module by path; workloads and tracing import nothing from signalgame."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_tracer_wraps_and_restores():
+    """The benchmark's tracer patches signalgame names through vars(owner)[attr],
+    so a renamed or deleted name fails here rather than in a traced run."""
+    recorder = _perfbench("tracing").Recorder()
+    try:
+        recorder.install()
+        patched = list(recorder._patched)
+        assert patched
+        assert all(vars(owner)[attr] is not original for owner, attr, original in patched)
+    finally:
+        recorder.uninstall()
+    assert all(vars(owner)[attr] is original for owner, attr, original in patched)
 
 
 EXPECTED_PRESETS = {
@@ -115,7 +129,7 @@ class TestSimulate:
         assert (out / "traj_seed1.csv").exists()
 
     def test_fig4_matches_benchmark_reference(self, tmp_path, capsys):
-        refs = json.loads((_perfbench_workloads().REFS / "fig4.json").read_text())
+        refs = json.loads((_perfbench().REFS / "fig4.json").read_text())
         for seed in range(3):
             out = tmp_path / str(seed)
             argv = ["simulate", "--preset", "fig4", "--seed", str(seed), "--out", str(out)]
@@ -167,7 +181,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_report_matches_benchmark_reference(self, tmp_path, capsys, dynamic):
-        workloads = _perfbench_workloads()
+        workloads = _perfbench()
         argv = ["verify", *workloads.VERIFY_ARGS[dynamic], "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         capsys.readouterr()
@@ -196,10 +210,14 @@ class TestVerifyCommand:
         capsys.readouterr()
 
     def test_unknown_config_key(self, tmp_path, capsys):
+        # command, preset and max_states are set by the command line, the --preset
+        # flag and the environment only, so a config file cannot claim them
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"mm": 2}))
-        assert cli.main(["verify", "--config", str(config)]) == 1
-        assert "unknown configuration field" in capsys.readouterr().err
+        for bad in ({"mm": 2}, {"command": "sweep"}, {"preset": "fig2"}, {"max_states": 5}):
+            config.write_text(json.dumps(bad))
+            for command in ("simulate", "verify"):
+                assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+                assert "unknown configuration field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "replicator"])

@@ -237,7 +237,7 @@ class TestRun:
         params = ImitationParams.uniform(epsilon=0.1, d=1, N=2, p=0.5)
         traj = run(np.array(profile.ids()), "imitation", params, horizon=0, rng=0,
                    table=get_table(2, 2))
-        assert traj.times() == [0]
+        assert [rec.t for rec in traj.records] == [0]
         assert traj.records[0].ids == profile.ids()
 
     def test_record_every_includes_final(self):
@@ -245,7 +245,7 @@ class TestRun:
         params = ImitationParams.uniform(epsilon=0.1, d=1, N=2, p=0.5)
         traj = run(np.array(profile.ids()), "imitation", params, horizon=7, record_every=3,
                    rng=0, table=get_table(2, 2))
-        assert traj.times() == [0, 3, 6, 7]
+        assert [rec.t for rec in traj.records] == [0, 3, 6, 7]
 
     def test_deterministic_and_seed_sensitive(self):
         table = get_table(2, 2)

@@ -117,6 +117,11 @@ class TestIntegrate:
         traj = integrate(np.full(16, 1 / 16), A22, dt=0.05, steps=10, record_every=5)
         assert traj.times.tolist() == [0.0, 0.25, 0.5]
         assert len(traj.mean_fitness_path) == 11
+        # the terminal step is recorded even when record_every does not divide steps
+        every = integrate(np.full(16, 1 / 16), A22, dt=0.05, steps=10, record_every=1)
+        traj = integrate(np.full(16, 1 / 16), A22, dt=0.05, steps=10, record_every=3)
+        assert traj.times.tolist() == [t * 0.05 for t in (0, 3, 6, 9, 10)]
+        assert np.array_equal(traj.states, every.states[[0, 3, 6, 9, 10]])
 
     def test_bad_step_params(self, A22):
         x0 = np.full(16, 1 / 16)
@@ -138,7 +143,7 @@ def _oracle_integrate(x0, payoff, dt, steps, record_every):
         mean = (Y * fit).sum(axis=1, keepdims=True)
         return Y * (fit - mean)
 
-    n_records = steps // record_every + 1
+    n_records = -(-steps // record_every) + 1
     times = np.empty(n_records)
     states = np.empty((n_records,) + X.shape)
     w_path = np.empty((steps + 1, X.shape[0]))
@@ -159,7 +164,7 @@ def _oracle_integrate(x0, payoff, dt, steps, record_every):
         min_entry = min(min_entry, float(X.min()))
         X = X / sums[:, None]
         w_path[step] = (X * (X @ A)).sum(axis=1)
-        if step % record_every == 0:
+        if step % record_every == 0 or step == steps:
             times[rec] = step * dt
             states[rec] = X
             rec += 1
