@@ -10,7 +10,9 @@ epsilon. On top runs the machinery of stochastic stability: recurrent
 classes of the unperturbed chain, least resistances between classes via a
 level-set search (resistances are small integers, so distances grow one
 level at a time), stochastic potentials via minimum spanning arborescences,
-and stationary distributions of the perturbed chain for epsilon sweeps.
+and stationary distributions of the perturbed chain for epsilon sweeps. The
+arborescence weight needs no tree: Chu-Liu/Edmonds contracts the cycles of
+cheapest out-edges on reduced weights until none is left, and sums what it paid.
 
 When every agent uses the same revision or neighbour probability, the chain
 commutes with agent permutations and is strongly lumpable onto multisets of
@@ -40,7 +42,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .arborescence import min_in_arborescence
 from .dynamics import ImitationParams, LocalParams
 from .errors import CapExceededError, ConvergenceError
 from .languages import LanguageTable
@@ -72,14 +73,8 @@ class StateSpace:
                 f"tractable presets: {presets}. Raise SIGNALGAME_MAX_STATES to override."
             )
 
-    def encode(self, ids) -> int:
-        return int(_codes(np.asarray(ids, dtype=np.int64), self.table.size))
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        return tuple(_ids(np.array([index]), self.table.size, self.n_agents)[0].tolist())
-
     def all_ids(self) -> np.ndarray:
-        """(size, N) array of language ids, row v = decode(v)."""
+        """(size, N) array of language ids, row v the joint state of index v."""
         return _ids(np.arange(self.size), self.table.size, self.n_agents)
 
     def extend(self, i: int, partial: np.ndarray, lid: np.ndarray) -> np.ndarray:
@@ -141,7 +136,7 @@ class MultisetSpace:
 def _outer(factors: np.ndarray, combine: np.ufunc) -> np.ndarray:
     """(V, K^N) joint rows from (V, N, K) per-agent factors, agent 0 outermost.
 
-    Row v, column encode(w) combines factors[v, i, w_i] over the agents in
+    Row v, the column of joint state w, combines factors[v, i, w_i] over the agents in
     index order, one agent at a time, so the full-width array is written once.
     """
     V, N, K = factors.shape
@@ -496,16 +491,59 @@ class StochasticPotentialResult:
         self.minimizers = [int(i) for i in np.flatnonzero(self.gamma == lowest)]
 
 
+def min_in_arborescence(weights: np.ndarray, root: int) -> float:
+    """Weight of the cheapest spanning tree with a directed path from every node into root.
+
+    ``weights[i, j]`` is the cost of edge i -> j (inf where absent; the diagonal
+    is ignored), and every non-root node keeps one outgoing edge. Chu-Liu/Edmonds
+    on the weight alone: every non-root node pays for its cheapest out-edge, which
+    is then subtracted from all its out-edges, and each cycle the chosen edges
+    close contracts to one node whose out-edges are the least of its members',
+    until no cycle is left. Raises ValueError when no finite tree exists.
+    """
+    w = np.array(weights, dtype=float)
+    w[root] = _INF
+    total, target = 0.0, root
+    while True:
+        n = len(w)
+        np.fill_diagonal(w, _INF)
+        succ = w.argmin(axis=1).tolist()
+        paid = w[np.arange(n), succ]
+        paid[root] = 0.0
+        total += paid.sum()
+        if not total < _INF:
+            raise ValueError(f"no finite-weight arborescence into node {target}")
+        # Follow the chosen edges from each node; a walk that meets its own path
+        # has closed a cycle there.
+        cycles, walk = [], [-1] * n
+        for start in range(n):
+            v = start
+            while walk[v] < 0 and v != root:
+                walk[v], v = start, succ[v]
+            if walk[v] == start:
+                cycle, u = [v], succ[v]
+                while u != v:
+                    cycle.append(u)
+                    u = succ[u]
+                cycles.append(cycle)
+        if not cycles:
+            return float(total)
+        w -= paid[:, None]
+        # Each node off the cycles is a group of its own, listed first, so the
+        # root's new index is its place in the order.
+        on_cycle = {v for cycle in cycles for v in cycle}
+        groups = [[v] for v in range(n) if v not in on_cycle] + cycles
+        order = [v for group in groups for v in group]
+        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        w = np.minimum.reduceat(np.minimum.reduceat(w[order], starts, axis=0)[:, order],
+                                starts, axis=1)
+        root = order.index(root)
+
+
 def stochastic_potential(rg: ResistanceGraph) -> StochasticPotentialResult:
     """Per-class minimum arborescence weight and the set of minimizers."""
-    weights = rg.r.astype(float).copy()
-    np.fill_diagonal(weights, _INF)
-    gammas = np.empty(rg.n_classes)
-    for root in range(rg.n_classes):
-        gammas[root] = min_in_arborescence(weights, root)[0]
-        if not np.isfinite(gammas[root]):
-            raise ValueError(f"no finite-resistance arborescence into class {root}")
-    return StochasticPotentialResult(gamma=gammas)
+    return StochasticPotentialResult(
+        gamma=np.array([min_in_arborescence(rg.r, root) for root in range(rg.n_classes)]))
 
 
 # -- stability verification -------------------------------------------------------

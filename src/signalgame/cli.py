@@ -194,7 +194,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         updates[key] = args.p
     if getattr(args, "seed", None):
         updates["seeds"] = _parse_seeds(args.seed)
-    if getattr(args, "eps_list", None):
+    if getattr(args, "eps_list", None) is not None:
         updates["epsilons"] = [float(x) for x in args.eps_list.split(",") if x.strip()]
 
     # the command, the preset and the cap come from argv, --preset and the environment only
@@ -205,6 +205,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         setattr(cfg, key, value)
     if not cfg.seeds:
         raise ValueError("at least one seed is required")
+    if not cfg.epsilons:
+        raise ValueError("at least one epsilon is required")
     return cfg
 
 

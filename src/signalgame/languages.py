@@ -244,6 +244,8 @@ class LanguageTable:
     """
 
     def __init__(self, m: int, n: int, max_languages: int = 8192):
+        if m < 2 or n < 2:
+            raise ValueError(f"need m >= 2 and n >= 2, got ({m}, {n})")
         count = language_count(m, n)
         if count > max_languages:
             raise CapExceededError(

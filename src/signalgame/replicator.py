@@ -93,10 +93,12 @@ def integrate(
     ``record_every`` steps and the final step. Raises if renormalization cannot
     keep the state within ``simplex_tol`` of the simplex.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < float("inf"):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     x = np.asarray(x0, dtype=float)
     batched = x.ndim == 2
     X = x if batched else x[None, :]

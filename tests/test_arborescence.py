@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from signalgame.arborescence import min_in_arborescence
+from signalgame.chain import ResistanceGraph, min_in_arborescence, stochastic_potential
 
 
 def brute_force_min(weights: np.ndarray, root: int) -> float:
@@ -34,8 +34,8 @@ def brute_force_min(weights: np.ndarray, root: int) -> float:
 
 def test_two_node_example():
     w = np.array([[np.inf, 1.0], [2.0, np.inf]])
-    assert min_in_arborescence(w, 0)[0] == 2.0
-    assert min_in_arborescence(w, 1)[0] == 1.0
+    assert min_in_arborescence(w, 0) == 2.0
+    assert min_in_arborescence(w, 1) == 1.0
 
 
 def test_three_node_cycle_example():
@@ -43,25 +43,9 @@ def test_three_node_cycle_example():
     w[0, 1] = w[1, 2] = w[2, 0] = 1.0
     w[1, 0] = w[2, 1] = w[0, 2] = 2.0
     for root in range(3):
-        total, successor = min_in_arborescence(w, root)
+        total = min_in_arborescence(w, root)
         assert total == 2.0
         assert total == brute_force_min(w, root)
-        assert set(successor) == {v for v in range(3) if v != root}
-
-
-def test_successors_form_tree():
-    rng = np.random.default_rng(5)
-    w = rng.integers(1, 20, size=(6, 6)).astype(float)
-    np.fill_diagonal(w, np.inf)
-    total, successor = min_in_arborescence(w, 2)
-    # every node walks to the root without repeating
-    for v in successor:
-        seen, x = set(), v
-        while x != 2:
-            assert x not in seen
-            seen.add(x)
-            x = successor[x]
-    assert total == sum(w[v, u] for v, u in successor.items())
 
 
 @pytest.mark.parametrize("trial", range(60))
@@ -77,14 +61,27 @@ def test_matches_brute_force(trial):
             with pytest.raises(ValueError):
                 min_in_arborescence(w, root)
         else:
-            assert min_in_arborescence(w, root)[0] == expected
+            assert min_in_arborescence(w, root) == expected
 
 
 def test_disconnected_raises():
     w = np.full((3, 3), np.inf)
     w[0, 1] = 1.0  # node 2 has no edges at all
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="into node 1"):
         min_in_arborescence(w, 1)
+
+
+def test_stochastic_potential_matches_exhaustive_enumeration():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        r = rng.integers(1, 9, size=(n, n)).astype(float)
+        np.fill_diagonal(r, 0.0)
+        result = stochastic_potential(ResistanceGraph(classes=[[i] for i in range(n)], r=r))
+        weights = r.copy()
+        np.fill_diagonal(weights, np.inf)
+        for root in range(n):
+            assert result.gamma[root] == brute_force_min(weights, root)
 
 
 @pytest.mark.parametrize("trial", range(16))
@@ -113,14 +110,4 @@ def test_matches_networkx_edmonds(trial):
             with pytest.raises(ValueError):
                 min_in_arborescence(w, int(root))
             continue
-        expected = tree.size(weight="weight")
-        total, successor = min_in_arborescence(w, int(root))
-        assert total == expected
-        assert set(successor) == set(range(n)) - {int(root)}
-        assert total == sum(w[v, u] for v, u in successor.items())
-        for v in successor:
-            seen, x = set(), v
-            while x != root:
-                assert x not in seen
-                seen.add(x)
-                x = successor[x]
+        assert min_in_arborescence(w, int(root)) == tree.size(weight="weight")

@@ -227,6 +227,26 @@ def test_language_cap_exit_code(tmp_path, capsys, command):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "replicator"])
+def test_degenerate_shape_exit_code(tmp_path, capsys, command):
+    assert cli.main([command, "--m", "1", "--n", "2", "--out", str(tmp_path)]) == 1
+    assert "need m >= 2 and n >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--eps-list", ","], ["sweep", "--eps-list", ""],
+                                  ["verify", "--sweep", "--eps-list", ","],
+                                  ["sweep", "--config", "CONFIG"],
+                                  ["verify", "--sweep", "--config", "CONFIG"]])
+def test_empty_epsilon_list_exit_code(tmp_path, capsys, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"epsilons": []}))
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "at least one epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_csv_and_symmetry(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -285,6 +305,16 @@ class TestReplicatorCommand:
         assert cli.main(["replicator", "--m", "2", "--n", "2", "--x0", str(vec),
                          "--steps", "10", "--out", str(out)]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag,value", [("--record-every", "0"), ("--record-every", "-2"),
+                                            ("--dt", "nan"), ("--dt", "-0.5")])
+    def test_bad_step_params_exit_code(self, tmp_path, capsys, flag, value):
+        assert cli.main(["replicator", "--m", "2", "--n", "2", "--steps", "10", flag, value,
+                         "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
 
     def test_bad_vertex(self, tmp_path, capsys):
         assert cli.main(["replicator", "--m", "2", "--n", "2", "--x0", "vertex:99",

@@ -361,5 +361,10 @@ class TestLanguageTable:
         with pytest.raises(CapExceededError):
             LanguageTable(4, 4, max_languages=1000)
 
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (0, 3)])
+    def test_degenerate_shape_rejected(self, m, n):
+        with pytest.raises(ValueError, match="need m >= 2 and n >= 2"):
+            LanguageTable(m, n)
+
     def test_cache_identity(self):
         assert get_table(2, 2) is get_table(2, 2)

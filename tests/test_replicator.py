@@ -125,10 +125,14 @@ class TestIntegrate:
 
     def test_bad_step_params(self, A22):
         x0 = np.full(16, 1 / 16)
-        with pytest.raises(ValueError):
-            integrate(x0, A22, dt=0.0, steps=10)
+        for dt in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                integrate(x0, A22, dt=dt, steps=10)
         with pytest.raises(ValueError):
             integrate(x0, A22, dt=0.01, steps=-1)
+        for every in (0, -2):
+            with pytest.raises(ValueError, match="record_every must be >= 1"):
+                integrate(x0, A22, dt=0.01, steps=10, record_every=every)
 
 
 def _oracle_integrate(x0, payoff, dt, steps, record_every):
