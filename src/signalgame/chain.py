@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -46,8 +47,8 @@ from .dynamics import ImitationParams, LocalParams
 from .errors import CapExceededError, ConvergenceError
 from .languages import LanguageTable
 
-DEFAULT_MAX_STATES = 100_000
-TRACTABLE_PRESETS = ((2, 2, 2), (2, 2, 3))
+# States a space may enumerate: K^N labelled states, or C(K+N-1, N) multisets.
+MAX_STATES = 100_000
 
 _INF = float("inf")
 # Entries of one row block of the resistance matrix in the least-resistance search,
@@ -59,19 +60,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _capped(size: int, what: str) -> int:
+    if size > MAX_STATES:
+        raise CapExceededError(f"{what} has {size} states, above the cap of {MAX_STATES}")
+    return size
+
+
 class StateSpace:
     """Dense bijection between joint states and indices in [0, K^N)."""
 
-    def __init__(self, table: LanguageTable, n_agents: int, max_states: int = DEFAULT_MAX_STATES):
+    def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
         self.n_agents = n_agents
-        self.size = table.size**n_agents
-        if self.size > max_states:
-            presets = ", ".join(f"(m={m}, n={n}, N={N})" for m, n, N in TRACTABLE_PRESETS)
-            raise CapExceededError(
-                f"state space has {self.size} states, above the cap of {max_states}; "
-                f"tractable presets: {presets}. Raise SIGNALGAME_MAX_STATES to override."
-            )
+        self.size = _capped(table.size**n_agents, "the labelled state space")
 
     def all_ids(self) -> np.ndarray:
         """(size, N) array of language ids, row v the joint state of index v."""
@@ -101,6 +102,7 @@ class MultisetSpace:
 
     def __init__(self, table, n_agents: int):
         self.table, self.n_agents, K = table, n_agents, table.size
+        _capped(math.comb(K + n_agents - 1, n_agents), "the multiset space")
         rows = np.arange(K)[:, None]
         self._insert, self._gather = [rows.T], []
         for i in range(1, n_agents):
@@ -161,15 +163,14 @@ class _ChainModel:
 
     _alike: np.ndarray | None = None  # probabilities that must agree for agents to be alike
 
-    def __init__(self, table: LanguageTable, n_agents: int, max_states: int = DEFAULT_MAX_STATES):
+    def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
         self.n_agents = n_agents
-        self._max_states = max_states
 
     @cached_property
     def space(self) -> StateSpace:
         """The full state space; built, and checked against the cap, on first use."""
-        return StateSpace(self.table, self.n_agents, self._max_states)
+        return StateSpace(self.table, self.n_agents)
 
     @property
     def shared_prob(self) -> float | None:
@@ -229,17 +230,22 @@ class _ChainModel:
         indices, their language ids or None, per-agent resistances, zero-resistance
         graph). Multisets are searched when every agent uses one probability; a
         multiset class that is not one homogeneous state has no exact labelled
-        image, so then labelled states are searched."""
-        spaces = [self.space]  # raises above the cap
-        if self.shared_prob is not None:
-            spaces.insert(0, MultisetSpace(self.table, self.n_agents))
-        for space in spaces:
+        image, so then labelled states are searched. Each space is built, and
+        checked against the cap, only when it is searched."""
+        kinds = [MultisetSpace, StateSpace] if self.shared_prob is not None else [StateSpace]
+        for kind in kinds:
+            space = self.space if kind is StateSpace else MultisetSpace(self.table, self.n_agents)
             ids = space.all_ids()
             res = self._resistances(ids)
-            # Free moves grow one agent at a time: each partial move is extended by
-            # every language that agent can adopt at no cost.
+            # Free moves grow one agent at a time: each partial move is extended by every
+            # language that agent can adopt at no cost. Agent orders that reach one partial
+            # multiset are merged, by a sort (numpy 2's np.unique hashes int64 keys, which is
+            # far slower at these sizes); the graph sums the duplicates the last agent leaves.
             srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
             for i in range(self.n_agents):
+                if i > 1:
+                    pairs = np.sort(srcs * space.size + dsts)
+                    srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
                 edge, lid = np.nonzero(res[srcs, i] == 0)
                 srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
             graph = csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)),
@@ -255,7 +261,7 @@ class _ChainModel:
             classes = sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
             heads = ids[[cls[0] for cls in classes]]
             homogeneous = all(len(cls) == 1 for cls in classes) and (heads.T == heads[:, 0]).all()
-            if homogeneous or space is self.space:
+            if homogeneous or kind is StateSpace:
                 codes = _codes(ids, self.table.size)
                 lang_ids = heads[:, 0].tolist() if homogeneous else None
                 return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, graph
@@ -313,9 +319,8 @@ class ImitationChain(_ChainModel):
 
     dynamic = "imitation"
 
-    def __init__(self, table: LanguageTable, params: ImitationParams,
-                 max_states: int = DEFAULT_MAX_STATES):
-        super().__init__(table, params.n_agents, max_states)
+    def __init__(self, table: LanguageTable, params: ImitationParams):
+        super().__init__(table, params.n_agents)
         self.params = params
         self._probs = self._alike = np.asarray(params.revision_probs)
         self._disk_unif = np.zeros((table.size, table.size))
@@ -345,9 +350,8 @@ class LocalizedChain(_ChainModel):
 
     dynamic = "localized"
 
-    def __init__(self, table: LanguageTable, params: LocalParams,
-                 max_states: int = DEFAULT_MAX_STATES):
-        super().__init__(table, params.n_agents, max_states)
+    def __init__(self, table: LanguageTable, params: LocalParams):
+        super().__init__(table, params.n_agents)
         self.params = params
         self._probs = np.asarray(params.neighbor_probs)
         self._alike = self._probs[~np.eye(self.n_agents, dtype=bool)]  # each agent compares itself
@@ -377,13 +381,10 @@ class LocalizedChain(_ChainModel):
         return (1.0 - eps) * copy + eps / self.table.size
 
 
-def make_chain(
-    table: LanguageTable, params: ImitationParams | LocalParams,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> _ChainModel:
+def make_chain(table: LanguageTable, params: ImitationParams | LocalParams) -> _ChainModel:
     if isinstance(params, ImitationParams):
-        return ImitationChain(table, params, max_states)
-    return LocalizedChain(table, params, max_states)
+        return ImitationChain(table, params)
+    return LocalizedChain(table, params)
 
 
 # -- stationary distributions -------------------------------------------------
@@ -617,7 +618,7 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
     if prob is None:
         raise ValueError("verify needs one probability shared by all agents")
     epsilons = tuple(epsilons)
-    sweep = sweep_stationary(model, epsilons)
+    sweep = sweep_stationary(model, epsilons) if epsilons else []
 
     rg = model.least_resistance()
     sp = stochastic_potential(rg)
@@ -627,21 +628,14 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
     stable = sorted(labels[i] for i in sp.minimizers)
     optimal = sorted(int(x) for x in table.aligned_ids) if homogeneous else []
 
-    notes = []
-    if N == 2:
-        notes.append(
-            "N=2 is degenerate: a lone mutant always ties the residents, so every "
-            "one-mutation transition succeeds and the minimizer set is not informative"
-        )
-    if table.m != table.n:
-        notes.append(
-            "m != n: the equality of stable and optimal sets is only fully established "
-            "for m = n; treat this report as an empirical finding"
-        )
+    notes, verdict = [], "pass" if homogeneous and set(stable) == set(optimal) else "fail"
     if N == 2:
         verdict = "degenerate"
-    else:
-        verdict = "pass" if homogeneous and set(stable) == set(optimal) else "fail"
+        notes.append("N=2 is degenerate: a lone mutant always ties the residents, so every "
+                     "one-mutation transition succeeds and the minimizer set is not informative")
+    if table.m != table.n:
+        notes.append("m != n: the equality of stable and optimal sets is only fully established "
+                     "for m = n; treat this report as an empirical finding")
 
     resistances = [
         [int(labels[i]), int(labels[j]), int(rg.r[i, j])]
@@ -660,7 +654,7 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
             "neighbor_prob": None if imitation else prob,
             "epsilons": [float(e) for e in epsilons],
         },
-        state_count=model.space.size,
+        state_count=table.size**N,
         classes=[int(x) for x in labels],
         class_states=[list(map(int, cls)) for cls in rg.classes],
         classes_homogeneous=homogeneous,

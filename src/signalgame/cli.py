@@ -9,9 +9,9 @@ metadata.json capturing the resolved configuration, seeds, PRNG identity and
 package version.
 
 Exit codes: 0 success (verification passed or not applicable), 1 usage
-error, 2 verification failure, 3 enumeration cap exceeded. The state-space
-cap defaults to 100000 and can be overridden with the SIGNALGAME_MAX_STATES
-environment variable.
+error, 2 verification failure, 3 enumeration cap exceeded: more than 8,192
+languages, a space to enumerate above ``chain.MAX_STATES`` states (K^N labelled,
+or C(K+N-1, N) multisets), or a dense kernel too large for physical memory.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .chain import DEFAULT_MAX_STATES, make_chain, sweep_stationary, verify_stability
+from .chain import make_chain, sweep_stationary, verify_stability
 from .dynamics import ImitationParams, LocalParams, random_profile_ids, run
 from .errors import CapExceededError
 from .languages import get_table, language_count
@@ -92,7 +91,6 @@ class RunConfig:
     steps: int = 10000
     x0: str = "uniform"
     preset: str | None = None
-    max_states: int = DEFAULT_MAX_STATES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge preset, config file and flags (flags win) into a RunConfig."""
     cfg = RunConfig(command=args.command)
-    cfg.max_states = int(os.environ.get("SIGNALGAME_MAX_STATES", DEFAULT_MAX_STATES))
     updates: dict = {}
     preset = getattr(args, "preset", None)
     if preset:
@@ -197,8 +194,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "eps_list", None) is not None:
         updates["epsilons"] = [float(x) for x in args.eps_list.split(",") if x.strip()]
 
-    # the command, the preset and the cap come from argv, --preset and the environment only
-    valid = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "preset", "max_states"}
+    # the command and the preset come from argv and --preset only
+    valid = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "preset"}
     for key, value in updates.items():
         if key not in valid:
             raise ValueError(f"unknown configuration field {key!r}")
@@ -211,14 +208,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
-    """Build the dynamics parameter object; draws random p_ij when asked to."""
+    """Build the dynamics parameter object; draws random p_ij when asked to.
+    A per-agent list needs N entries (a neighbour matrix N rows of N), and d an int."""
+    if type(cfg.d) is not int:
+        raise ValueError(f"d must be an integer, got {cfg.d!r}")
+    probs = cfg.revision_prob if cfg.dynamic == "imitation" else cfg.neighbor_prob
+    if isinstance(probs, list) and len(probs) != cfg.N:
+        raise ValueError(f"per-agent probabilities must list N={cfg.N} entries, got {len(probs)}")
     if cfg.dynamic == "imitation":
-        probs = cfg.revision_prob
         if isinstance(probs, (int, float)):
             return ImitationParams.uniform(cfg.epsilon, cfg.d, cfg.N, float(probs))
         return ImitationParams(cfg.epsilon, cfg.d, tuple(float(p) for p in probs))
     if cfg.dynamic == "localized":
-        probs = cfg.neighbor_prob
         if probs == "uniform_random":
             if rng is None:
                 raise ValueError("uniform_random neighbour probabilities need a seeded run")
@@ -283,7 +284,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg), cfg.max_states)
+    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg))
     report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
     text = report.to_json()
     (out_dir / "verify_report.json").write_text(text)
@@ -295,7 +296,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg), cfg.max_states)
+    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg))
     rows = sweep_stationary(model, cfg.epsilons)
     lines = ["eps,optimal_mass,top_state_id,top_state_mass"]
     for row in rows:

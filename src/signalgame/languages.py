@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import CapExceededError
 
+MAX_LANGUAGES = 8192  # the largest language set LanguageTable tabulates
+
 
 def language_count(m: int, n: int) -> int:
     """Number of languages on m objects and n symbols."""
@@ -243,13 +245,13 @@ class LanguageTable:
     reference implementation and the two are cross-checked in tests.
     """
 
-    def __init__(self, m: int, n: int, max_languages: int = 8192):
+    def __init__(self, m: int, n: int):
         if m < 2 or n < 2:
             raise ValueError(f"need m >= 2 and n >= 2, got ({m}, {n})")
         count = language_count(m, n)
-        if count > max_languages:
+        if count > MAX_LANGUAGES:
             raise CapExceededError(
-                f"language set of size {count} exceeds the cap {max_languages}; "
+                f"language set of size {count} exceeds the cap {MAX_LANGUAGES}; "
                 f"(m, n) = ({m}, {n}) is too large to tabulate"
             )
         self.m = m

@@ -91,7 +91,7 @@ def integrate(
     ``x0`` may be a single state (K,) or a batch (B, K); batches share the
     clock and are integrated in lockstep. States are recorded at t=0, every
     ``record_every`` steps and the final step. Raises if renormalization cannot
-    keep the state within ``simplex_tol`` of the simplex.
+    keep the state within ``simplex_tol`` of the simplex; every check fails on NaN.
     """
     if not 0.0 < dt < float("inf"):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -102,7 +102,7 @@ def integrate(
     x = np.asarray(x0, dtype=float)
     batched = x.ndim == 2
     X = x if batched else x[None, :]
-    if np.abs(X.sum(axis=1) - 1.0).max() > 1e-10 or X.min() < -1e-12:
+    if not (np.abs(X.sum(axis=1) - 1.0).max() <= 1e-10 and X.min() >= -1e-12):
         raise ValueError("x0 must lie on the simplex")
     A = np.asarray(payoff, dtype=float)
 
@@ -136,9 +136,10 @@ def integrate(
         X = X + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         sums = X.sum(axis=1)
         sum_err, low = float(np.abs(sums - 1.0).max()), float(X.min())
-        max_sum_err = max(max_sum_err, sum_err)
+        # max keeps its first argument unless the second compares larger, so a NaN propagates
+        max_sum_err = max(sum_err, max_sum_err)
         min_entry = min(min_entry, low)
-        if sum_err > simplex_tol or low < -simplex_tol:
+        if not (sum_err <= simplex_tol and low >= -simplex_tol):
             raise ValueError(
                 f"state left the simplex at step {step}; reduce the step size"
             )

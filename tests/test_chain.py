@@ -57,10 +57,9 @@ def resistance223(imitation223):
     return imitation223.least_resistance()
 
 
-def imitation_chain(m, n, N, **kwargs):
+def imitation_chain(m, n, N):
     """The imitation chain verify builds by default: d=2, revision probability 0.3."""
-    return ImitationChain(get_table(m, n), ImitationParams.uniform(epsilon=0.01, d=2, N=N, p=0.3),
-                          **kwargs)
+    return ImitationChain(get_table(m, n), ImitationParams.uniform(epsilon=0.01, d=2, N=N, p=0.3))
 
 
 def encode(space, ids) -> int:
@@ -92,17 +91,37 @@ class TestStateSpace:
 
     def test_cap(self, table22):
         with pytest.raises(CapExceededError):
-            StateSpace(table22, 5, max_states=100_000)
+            StateSpace(table22, 5)  # 16^5 = 1,048,576 states
 
-    def test_chain_owns_the_cap(self, table22):
-        chain = make_chain(table22, ImitationParams.uniform(0.01, 2, 3, 0.3), max_states=4095)
-        with pytest.raises(CapExceededError):
-            chain.recurrent_classes()
-        assert imitation_chain(2, 2, 3, max_states=4096).space.size == 4096
+    def test_chain_owns_the_cap(self, monkeypatch):
+        # (2,2,3) has 816 multisets and 4,096 labelled states; each space is
+        # checked against the cap when it is built.
+        monkeypatch.setattr(chain_module, "MAX_STATES", 815)
+        with pytest.raises(CapExceededError, match="multiset space has 816 states"):
+            imitation_chain(2, 2, 3).recurrent_classes()
+        monkeypatch.setattr(chain_module, "MAX_STATES", 816)
+        chain = imitation_chain(2, 2, 3)
+        assert verify_stability(chain).verdict == "pass"
+        with pytest.raises(CapExceededError, match="labelled state space has 4096 states"):
+            chain.kernel(0.1)
+        monkeypatch.setattr(chain_module, "MAX_STATES", 4096)
+        assert imitation_chain(2, 2, 3).space.size == 4096
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_verify_without_sweep_builds_no_labelled_space(self, table22, monkeypatch, dynamic):
+        def refuse(self, table, n_agents):
+            raise AssertionError("labelled state space built")
+
+        monkeypatch.setattr(StateSpace, "__init__", refuse)
+        chain = (imitation_chain(2, 2, 3) if dynamic == "imitation" else
+                 LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
+        report = verify_stability(chain)
+        assert report.verdict == "pass"
+        assert report.state_count == 4096
 
     def test_operations_above_the_cap(self):
-        chain = imitation_chain(2, 3, 3)  # 72^3 = 373,248 states
-        state, other = (0, 1, 2), (3, 4, 5)
+        chain = imitation_chain(2, 3, 4)  # 72^4 labelled states, 1,215,450 multisets
+        state, other = (0, 1, 2, 3), (3, 4, 5, 6)
         for call in (lambda: chain.kernel(0.1), lambda: chain.transition_row(state, 0.1),
                      chain.recurrent_classes, chain.least_resistance,
                      lambda: verify_stability(chain)):

@@ -163,7 +163,7 @@ class TestVerifyCommand:
         assert (tmp_path / "verify_report.json").exists()
 
     def test_cap_exceeded_exit_code(self, tmp_path, capsys):
-        code = cli.main(["verify", "--m", "2", "--n", "3", "--N", "3", "--out", str(tmp_path)])
+        code = cli.main(["verify", "--m", "2", "--n", "3", "--N", "4", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3
         assert "cap" in err
@@ -210,14 +210,32 @@ class TestVerifyCommand:
         capsys.readouterr()
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        # command, preset and max_states are set by the command line, the --preset
-        # flag and the environment only, so a config file cannot claim them
+        # command and preset are set by the command line and the --preset flag
+        # only, and the state cap is a constant, so a config file cannot claim them
         config = tmp_path / "bad.json"
         for bad in ({"mm": 2}, {"command": "sweep"}, {"preset": "fig2"}, {"max_states": 5}):
             config.write_text(json.dumps(bad))
             for command in ("simulate", "verify"):
                 assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
                 assert "unknown configuration field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"N": 3, "revision_prob": [0.3, 0.3]},
+    {"N": 3, "revision_prob": [0.3, 0.3, 0.3, 0.3]},
+    {"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5, 0.5], [0.5, 0.5]]},
+    {"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5] * 3, [0.5] * 3, [0.5] * 2]},
+    {"N": 3, "d": 2.5},
+    {"N": 3, "d": 2.0},
+], ids=["short-list", "long-list", "small-matrix", "ragged-matrix", "fractional-d", "float-d"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_config_disagreeing_with_n(tmp_path, capsys, bad, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 2, "n": 2, "horizon": 5, "epsilons": [0.1], **bad}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "metadata.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "replicator"])
@@ -315,6 +333,20 @@ class TestReplicatorCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("x0,flags", [("NAN_FILE", []), ("fixture", ["--dt", "1e200"])],
+                             ids=["nan-x0", "overflowing-dt"])
+    def test_nan_exit_code(self, tmp_path, capsys, x0, flags):
+        vec = tmp_path / "x0.json"
+        vec.write_text("[NaN" + ", 0.0625" * 15 + "]")
+        x0 = str(vec) if x0 == "NAN_FILE" else x0
+        assert cli.main(["replicator", "--m", "2", "--n", "2", "--x0", x0, "--steps", "10",
+                         *flags, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "out" / "replicator.csv").exists()
 
     def test_bad_vertex(self, tmp_path, capsys):
         assert cli.main(["replicator", "--m", "2", "--n", "2", "--x0", "vertex:99",

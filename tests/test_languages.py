@@ -359,7 +359,7 @@ class TestLanguageTable:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            LanguageTable(4, 4, max_languages=1000)
+            LanguageTable(4, 4)  # 65,536 languages
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (0, 3)])
     def test_degenerate_shape_rejected(self, m, n):

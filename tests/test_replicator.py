@@ -123,6 +123,20 @@ class TestIntegrate:
         assert traj.times.tolist() == [t * 0.05 for t in (0, 3, 6, 9, 10)]
         assert np.array_equal(traj.states, every.states[[0, 3, 6, 9, 10]])
 
+    def test_nan_start_rejected(self, A22):
+        x0 = np.full(16, 1 / 16)
+        x0[3] = float("nan")
+        with pytest.raises(ValueError, match="x0 must lie on the simplex"):
+            integrate(x0, A22, dt=0.01, steps=1)
+        with pytest.raises(ValueError, match="x0 must lie on the simplex"):
+            integrate(np.stack([np.full(16, 1 / 16), x0]), A22, dt=0.01, steps=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_step_rejected(self, A22):
+        # a step this large overflows to inf and NaN, which no check may let through
+        with pytest.raises(ValueError, match="left the simplex at step 1"):
+            integrate(np.asarray(SUBOPTIMAL_REST_X0), A22, dt=1e200, steps=10)
+
     def test_bad_step_params(self, A22):
         x0 = np.full(16, 1 / 16)
         for dt in (0.0, -0.01, float("nan"), float("inf")):
