@@ -4,9 +4,12 @@ Subcommands: ``simulate`` (trajectory CSVs + summary), ``verify`` (stochastic-st
 report as JSON), ``sweep`` (stationary-mass table across epsilons),
 ``replicator`` (continuum trajectory CSV) and ``presets``. Configuration
 comes from built-in presets, an optional JSON config file, and flat flag
-overrides, in increasing order of precedence. Every run writes a
-metadata.json capturing the resolved configuration, seeds, PRNG identity and
-package version.
+overrides, in increasing order of precedence. Each flag's ``dest`` is the
+``RunConfig`` field it sets, except ``--p``, which sets the probability of the
+chosen dynamic; a config value must have its field's type. ``main`` runs every
+command but ``presets`` the same way: resolve the config, create the output
+directory, call ``cmd_<command>``, then write metadata.json (the resolved
+configuration, seeds, PRNG identity and package version) once it returns.
 
 Exit codes: 0 success (verification passed or not applicable), 1 usage
 error, 2 verification failure, 3 enumeration cap exceeded: more than 8,192
@@ -20,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +97,12 @@ class RunConfig:
     preset: str | None = None
 
 
+# the value types each scalar field annotation admits; a float field takes an int too
+_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+# parser dests that name no RunConfig field
+_NOT_FIELDS = ("config", "preset", "p", "command")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors, per the interface contract."""
 
@@ -102,13 +112,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_seeds(values: list[str]) -> list[int]:
-    seeds: list[int] = []
-    for chunk in values:
-        for part in chunk.split(","):
-            if part.strip():
-                seeds.append(int(part))
-    return seeds
+def _comma_list(kind: type) -> Callable[[str], list]:
+    """An argparse type: a comma list of ``kind`` values, blank entries skipped."""
+    def parse(text: str) -> list:
+        return [kind(part) for part in text.split(",") if part.strip()]
+    parse.__name__ = f"{kind.__name__} list"  # argparse names the type in its errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,13 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", action="append", default=None,
-                       help="seed (repeatable, comma lists allowed)")
+        p.add_argument("--seed", dest="seeds", action="extend", type=_comma_list(int),
+                       default=None, help="seed (repeatable, comma lists allowed)")
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--N", type=int, default=None)
         p.add_argument("--d", type=int, default=None)
-        p.add_argument("--eps", type=float, default=None, help="mutation probability")
+        p.add_argument("--eps", dest="epsilon", type=float, default=None,
+                       help="mutation probability")
         p.add_argument("--p", type=float, default=None,
                        help="revision probability (imitation) / neighbour probability (localized)")
         p.add_argument("--dynamic", choices=["imitation", "localized"], default=None)
@@ -142,11 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ver)
     ver.add_argument("--sweep", action="store_true", default=None,
                      help="add the epsilon-sweep corroboration to the report")
-    ver.add_argument("--eps-list", type=str, default=None, help="comma list of sweep epsilons")
+    ver.add_argument("--eps-list", dest="epsilons", type=_comma_list(float), default=None,
+                     help="comma list of sweep epsilons")
 
     sw = sub.add_parser("sweep", help="exact stationary masses across epsilons")
     add_common(sw)
-    sw.add_argument("--eps-list", type=str, default=None, help="comma list of epsilons")
+    sw.add_argument("--eps-list", dest="epsilons", type=_comma_list(float), default=None,
+                    help="comma list of epsilons")
 
     rep = sub.add_parser("replicator", help="continuum replicator trajectory")
     add_common(rep)
@@ -160,45 +172,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _holds(value, kind: str) -> bool:
+    """Whether ``value`` has the type a field annotated ``kind`` needs.
+    Union fields (the probabilities) are checked where they are used."""
+    if kind.startswith("list["):
+        return type(value) is list and all(_holds(v, kind[5:-1]) for v in value)
+    return kind not in _TYPES or type(value) in _TYPES[kind]
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge preset, config file and flags (flags win) into a RunConfig."""
     cfg = RunConfig(command=args.command)
     updates: dict = {}
-    preset = getattr(args, "preset", None)
-    if preset:
-        updates.update(PRESETS[preset])
-        cfg.preset = preset
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
+    if args.preset:
+        updates.update(PRESETS[args.preset])
+        cfg.preset = args.preset
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
         updates.update(file_cfg)
-
-    flag_map = {
-        "m": "m", "n": "n", "N": "N", "d": "d", "eps": "epsilon",
-        "dynamic": "dynamic", "out": "out", "horizon": "horizon",
-        "record_every": "record_every", "snapshots": "snapshots",
-        "dt": "dt", "steps": "steps", "x0": "x0", "sweep": "sweep",
-    }
-    for attr, field in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[field] = value
-    if getattr(args, "p", None) is not None:
+    updates.update((key, value) for key, value in vars(args).items()
+                   if value is not None and key not in _NOT_FIELDS)
+    if args.p is not None:
         key = "neighbor_prob" if updates.get("dynamic", cfg.dynamic) == "localized" else "revision_prob"
         updates[key] = args.p
-    if getattr(args, "seed", None):
-        updates["seeds"] = _parse_seeds(args.seed)
-    if getattr(args, "eps_list", None) is not None:
-        updates["epsilons"] = [float(x) for x in args.eps_list.split(",") if x.strip()]
 
     # the command and the preset come from argv and --preset only
-    valid = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "preset"}
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)
+             if f.name not in ("command", "preset")}
     for key, value in updates.items():
-        if key not in valid:
+        if key not in kinds:
             raise ValueError(f"unknown configuration field {key!r}")
+        if not _holds(value, kinds[key]):
+            raise ValueError(f"configuration field {key!r} must be {kinds[key]}, got {value!r}")
         setattr(cfg, key, value)
     if not cfg.seeds:
         raise ValueError("at least one seed is required")
@@ -209,44 +217,30 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
     """Build the dynamics parameter object; draws random p_ij when asked to.
-    A per-agent list needs N entries (a neighbour matrix N rows of N), and d an int."""
-    if type(cfg.d) is not int:
-        raise ValueError(f"d must be an integer, got {cfg.d!r}")
-    probs = cfg.revision_prob if cfg.dynamic == "imitation" else cfg.neighbor_prob
+    A scalar probability stands for every agent (imitation) or every pair
+    (localized); a per-agent list needs N entries, a neighbour matrix N rows of N."""
+    imitation = cfg.dynamic == "imitation"
+    probs = cfg.revision_prob if imitation else cfg.neighbor_prob
+    if probs == "uniform_random" and not imitation:
+        if rng is None:
+            raise ValueError("uniform_random neighbour probabilities need a seeded run")
+        matrix = rng.random((cfg.N, cfg.N))
+        while (matrix == 0.0).any():  # open interval (0, 1)
+            redraw = matrix == 0.0
+            matrix[redraw] = rng.random(int(redraw.sum()))
+        probs = matrix.tolist()
+    elif isinstance(probs, (int, float)):
+        probs = [probs] * cfg.N if imitation else [[probs] * cfg.N] * cfg.N
     if isinstance(probs, list) and len(probs) != cfg.N:
         raise ValueError(f"per-agent probabilities must list N={cfg.N} entries, got {len(probs)}")
-    if cfg.dynamic == "imitation":
-        if isinstance(probs, (int, float)):
-            return ImitationParams.uniform(cfg.epsilon, cfg.d, cfg.N, float(probs))
+    if imitation:
         return ImitationParams(cfg.epsilon, cfg.d, tuple(float(p) for p in probs))
     if cfg.dynamic == "localized":
-        if probs == "uniform_random":
-            if rng is None:
-                raise ValueError("uniform_random neighbour probabilities need a seeded run")
-            matrix = rng.random((cfg.N, cfg.N))
-            while (matrix == 0.0).any():  # open interval (0, 1)
-                redraw = matrix == 0.0
-                matrix[redraw] = rng.random(int(redraw.sum()))
-            return LocalParams(cfg.epsilon, tuple(tuple(row) for row in matrix))
-        if isinstance(probs, (int, float)):
-            return LocalParams.uniform(cfg.epsilon, cfg.N, float(probs))
         return LocalParams(cfg.epsilon, tuple(tuple(float(p) for p in row) for row in probs))
     raise ValueError(f"unknown dynamic {cfg.dynamic!r}")
 
 
-def _write_metadata(out_dir: Path, cfg: RunConfig) -> None:
-    metadata = {
-        "config": dataclasses.asdict(cfg),
-        "prng": "numpy.random.default_rng (PCG64)",
-        "numpy_version": np.__version__,
-        "signalgame_version": __version__,
-    }
-    (out_dir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True))
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     table = get_table(cfg.m, cfg.n)
     tail_start = cfg.horizon // 2
     per_seed = []
@@ -276,26 +270,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
         / len(per_seed),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    _write_metadata(out_dir, cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg))
     report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
     text = report.to_json()
     (out_dir / "verify_report.json").write_text(text)
-    _write_metadata(out_dir, cfg)
     print(text)
     return 0 if report.verdict in ("pass", "degenerate") else 2
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg))
     rows = sweep_stationary(model, cfg.epsilons)
     lines = ["eps,optimal_mass,top_state_id,top_state_mass"]
@@ -306,7 +294,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
     csv_text = "\n".join(lines) + "\n"
     (out_dir / "sweep.csv").write_text(csv_text)
-    _write_metadata(out_dir, cfg)
     print(csv_text, end="")
     return 0
 
@@ -332,9 +319,7 @@ def _resolve_x0(spec: str, K: int) -> np.ndarray:
     return x0
 
 
-def cmd_replicator(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_replicator(cfg: RunConfig, out_dir: Path) -> int:
     A = payoff_matrix(cfg.m, cfg.n)
     K = language_count(cfg.m, cfg.n)
     x0 = _resolve_x0(cfg.x0, K)
@@ -347,22 +332,9 @@ def cmd_replicator(cfg: RunConfig) -> int:
         w = w_path[min(idx * cfg.record_every, last)]
         lines.append(f"{t!r},{w!r}," + ",".join(map(repr, state.tolist())))
     (out_dir / "replicator.csv").write_text("\n".join(lines) + "\n")
-    _write_metadata(out_dir, cfg)
-    print(
-        json.dumps(
-            {
-                "terminal_W": float(traj.mean_fitness_path[-1]),
-                "terminal_rhs_inf": traj.terminal_rhs_inf,
-                "max_sum_err": traj.max_sum_err,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
-
-
-def cmd_presets() -> int:
-    print(json.dumps(PRESETS, indent=2, sort_keys=True))
+    print(json.dumps({"terminal_W": float(traj.mean_fitness_path[-1]),
+                      "terminal_rhs_inf": traj.terminal_rhs_inf,
+                      "max_sum_err": traj.max_sum_err}, sort_keys=True))
     return 0
 
 
@@ -373,18 +345,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "presets":
-        return cmd_presets()
+        print(json.dumps(PRESETS, indent=2, sort_keys=True))
+        return 0
     try:
         cfg = resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "replicator":
-            return cmd_replicator(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # looked up at call time, so a wrapper set on the module attribute runs
+        code = globals()[f"cmd_{cfg.command}"](cfg, out_dir)
+        metadata = {"config": dataclasses.asdict(cfg), "prng": "numpy.random.default_rng (PCG64)",
+                    "numpy_version": np.__version__, "signalgame_version": __version__}
+        (out_dir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True))
+        return code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

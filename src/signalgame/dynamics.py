@@ -65,8 +65,8 @@ class ImitationParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.d < 1:
-            raise ValueError(f"mutation radius d must be >= 1, got {self.d}")
+        if type(self.d) is not int or self.d < 1:
+            raise ValueError(f"mutation radius d must be an integer >= 1, got {self.d!r}")
         if len(self.revision_probs) < 2:
             raise ValueError("need revision probabilities for at least 2 agents")
         if not all(0.0 < p < 1.0 for p in self.revision_probs):

@@ -78,6 +78,8 @@ class ReplicatorTrajectory:
     terminal_rhs_inf: float
 
 
+# an overflowing step yields inf or NaN, which the simplex checks turn into a ValueError
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     x0: np.ndarray,
     payoff: np.ndarray,

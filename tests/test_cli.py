@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,6 +86,40 @@ def test_presets_command(capsys):
     assert json.loads(capsys.readouterr().out) == EXPECTED_PRESETS
 
 
+def test_every_flag_sets_a_config_field():
+    """resolve_config copies each flag to the field named by its dest, so a flag
+    whose dest names no field would be refused, not dropped silently."""
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests <= fields | {"config", "preset", "p", "command"}, name
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["presets"], 0, None),
+    (["verify", "--m", "two"], 1, "signalgame verify: error: argument --m: invalid int value"),
+    (["verify", "--m", "2", "--n", "3", "--N", "4"], 3, "error: "),
+    (["replicator", "--m", "2", "--n", "2", "--x0", "fixture", "--dt", "1e200",
+      "--steps", "10"], 1, "error: state left the simplex at step 1"),
+], ids=["presets", "usage", "cap", "overflow"])
+def test_entry_point_process(tmp_path, argv, code, err):
+    """``python -m signalgame`` in a child process, which sees all that reaches stderr:
+    one error line, after the usage text on a usage error, and nothing else."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "signalgame", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    if err is None:
+        assert lines == []
+    else:
+        assert lines[-1].startswith(err)
+        assert len(lines) == 1 or lines[0].startswith("usage: "), proc.stderr
+
+
 class TestSimulate:
     def test_outputs_and_determinism(self, tmp_path, capsys):
         args = ["simulate", "--m", "2", "--n", "2", "--N", "4", "--horizon", "40",
@@ -152,6 +190,13 @@ class TestSimulate:
         assert metadata["config"]["horizon"] == 7  # flag wins
         assert metadata["config"]["epsilon"] == 0.2  # file survives
 
+    def test_repeated_seed_flags_extend(self, tmp_path, capsys):
+        out = tmp_path / "seeds"
+        assert cli.main(["simulate", "--m", "2", "--n", "2", "--N", "3", "--horizon", "4",
+                         "--seed", "1", "--seed", "2,3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "metadata.json").read_text())["config"]["seeds"] == [1, 2, 3]
+
 
 class TestVerifyCommand:
     def test_degenerate_instance_exits_zero(self, tmp_path, capsys):
@@ -167,6 +212,7 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert code == 3
         assert "cap" in err
+        assert not (tmp_path / "metadata.json").exists()
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         report = VerifyReport(
@@ -178,6 +224,8 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--m", "2", "--n", "2", "--N", "3", "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == 2
+        metadata = json.loads((tmp_path / "metadata.json").read_text())
+        assert metadata["config"]["command"] == "verify"
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_report_matches_benchmark_reference(self, tmp_path, capsys, dynamic):
@@ -236,6 +284,39 @@ def test_config_disagreeing_with_n(tmp_path, capsys, bad, command):
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("verify", {"sweep": "no", "epsilons": [0.1]}),
+    ("simulate", {"snapshots": "false"}),
+    ("simulate", {"record_every": 2.5, "horizon": 5}),
+    ("simulate", {"m": True}),
+    ("simulate", {"dynamic": None}),
+    ("replicator", {"dt": "0.01"}),
+    ("simulate", {"seeds": 5}),
+    ("verify", {"seeds": [1.5]}),
+    ("sweep", {"epsilons": ["0.1"]}),
+], ids=["sweep-str", "snapshots-str", "record_every-float", "m-bool", "dynamic-null", "dt-str",
+        "seeds-int", "seeds-float", "epsilons-str"])
+def test_config_value_of_wrong_type(tmp_path, capsys, command, bad):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 2, "n": 2, **bad}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    key = next(iter(bad))
+    assert capsys.readouterr().err.startswith(f"error: configuration field {key!r} must be")
+    assert not (out / "metadata.json").exists()
+
+
+def test_float_field_takes_an_int(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 2, "n": 2, "dt": 1, "epsilons": [1, 0.5]}))
+    out = tmp_path / "out"
+    assert cli.main(["replicator", "--config", str(config), "--x0", "vertex:5",
+                     "--steps", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads((out / "metadata.json").read_text())["config"]
+    assert (config["dt"], config["epsilons"]) == (1, [1, 0.5])
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "replicator"])
@@ -334,7 +415,7 @@ class TestReplicatorCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0,flags", [("NAN_FILE", []), ("fixture", ["--dt", "1e200"])],
                              ids=["nan-x0", "overflowing-dt"])
     def test_nan_exit_code(self, tmp_path, capsys, x0, flags):

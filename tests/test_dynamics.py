@@ -43,6 +43,9 @@ class TestParams:
             ImitationParams(1.0, 1, (0.3, 0.3))
         with pytest.raises(ValueError):
             ImitationParams(0.1, 0, (0.3, 0.3))
+        for d in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ImitationParams(0.01, d, (0.3,) * 3)
         with pytest.raises(ValueError):
             ImitationParams(0.1, 1, (0.3, 1.0))
 

@@ -131,9 +131,10 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="x0 must lie on the simplex"):
             integrate(np.stack([np.full(16, 1 / 16), x0]), A22, dt=0.01, steps=1)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_step_rejected(self, A22):
-        # a step this large overflows to inf and NaN, which no check may let through
+        # a step this large overflows to inf and NaN, which no check may let through;
+        # the ValueError is the only report: numpy's RuntimeWarnings stay silent
         with pytest.raises(ValueError, match="left the simplex at step 1"):
             integrate(np.asarray(SUBOPTIMAL_REST_X0), A22, dt=1e200, steps=10)
 
