@@ -2,14 +2,14 @@
 
 Subcommands: ``simulate`` (trajectory CSVs + summary), ``verify`` (stochastic-stability
 report as JSON), ``sweep`` (stationary-mass table across epsilons),
-``replicator`` (continuum trajectory CSV) and ``presets``. Configuration
-comes from built-in presets, an optional JSON config file, and flat flag
-overrides, in increasing order of precedence. Each flag's ``dest`` is the
-``RunConfig`` field it sets, except ``--p``, which sets the probability of the
-chosen dynamic; a config value must have its field's type. ``main`` runs every
-command but ``presets`` the same way: resolve the config, create the output
-directory, call ``cmd_<command>``, then write metadata.json (the resolved
-configuration, seeds, PRNG identity and package version) once it returns.
+``replicator`` (continuum trajectory CSV) and ``presets``. Configuration comes
+from a built-in preset (``simulate`` only), an optional JSON config file, then flat
+flags, flags winning. ``_COMMANDS`` lists each command's flags, one per
+``RunConfig`` field it reads (``--p`` sets the probability of the chosen dynamic);
+a file value for another field, or of the wrong type, is refused. ``main`` runs
+every command but ``presets`` alike: resolve the config, create the output
+directory, call ``cmd_<command>``, then write metadata.json (the fields read, PRNG
+identity, package version); a failed run removes a directory it made and left empty.
 
 Exit codes: 0 success (verification passed or not applicable), 1 usage
 error, 2 verification failure, 3 enumeration cap exceeded: more than 8,192
@@ -20,6 +20,7 @@ or C(K+N-1, N) multisets), or a dense kernel too large for physical memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -99,8 +100,6 @@ class RunConfig:
 
 # the value types each scalar field annotation admits; a float field takes an int too
 _TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
-# parser dests that name no RunConfig field
-_NOT_FIELDS = ("config", "preset", "p", "command")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,56 +119,58 @@ def _comma_list(kind: type) -> Callable[[str], list]:
     return parse
 
 
+# Every flag with its argparse options; its dest names the RunConfig field it sets.
+_FLAGS: dict[str, dict] = {
+    "--config": dict(help="JSON config file"),
+    "--preset": dict(choices=sorted(PRESETS)),
+    "--out": dict(help="output directory"),
+    "--seed": dict(dest="seeds", action="extend", type=_comma_list(int),
+                   help="seed (repeatable, comma lists allowed)"),
+    "--m": dict(type=int),
+    "--n": dict(type=int),
+    "--N": dict(type=int),
+    "--dynamic": dict(choices=["imitation", "localized"]),
+    "--eps": dict(dest="epsilon", type=float, help="mutation probability"),
+    "--d": dict(type=int),
+    "--p": dict(type=float, help="revision (imitation) or neighbour (localized) probability"),
+    "--horizon": dict(type=int),
+    "--record-every": dict(type=int),
+    "--snapshots": dict(action="store_true", help="also write profile snapshots as JSON lines"),
+    "--sweep": dict(action="store_true", help="add the epsilon-sweep corroboration to the report"),
+    "--eps-list": dict(dest="epsilons", type=_comma_list(float), help="comma list of epsilons"),
+    "--dt": dict(type=float),
+    "--steps": dict(type=int),
+    "--x0": dict(help="uniform | vertex:<id> | fixture | path to a JSON vector"),
+}
+_CHAIN = "--config --out --m --n --N --dynamic --d --p"  # the flags verify and sweep share
+# Each command takes the flags of the fields it reads, and nothing else.
+_COMMANDS = {
+    "simulate": ("seeded trajectory runs", "--config --preset --out --seed --m --n --N --dynamic "
+                 "--eps --d --p --horizon --record-every --snapshots"),
+    "verify": ("stochastic-stability verification report", f"{_CHAIN} --sweep --eps-list"),
+    "sweep": ("exact stationary masses across epsilons", f"{_CHAIN} --eps-list"),
+    "replicator": ("continuum replicator trajectory",
+                   "--config --out --m --n --dt --steps --record-every --x0"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="signalgame", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"signalgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", dest="seeds", action="extend", type=_comma_list(int),
-                       default=None, help="seed (repeatable, comma lists allowed)")
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--eps", dest="epsilon", type=float, default=None,
-                       help="mutation probability")
-        p.add_argument("--p", type=float, default=None,
-                       help="revision probability (imitation) / neighbour probability (localized)")
-        p.add_argument("--dynamic", choices=["imitation", "localized"], default=None)
-
-    sim = sub.add_parser("simulate", help="seeded trajectory runs")
-    add_common(sim)
-    sim.add_argument("--horizon", type=int, default=None)
-    sim.add_argument("--record-every", type=int, default=None)
-    sim.add_argument("--snapshots", action="store_true", default=None,
-                     help="also write per-record profile snapshots as JSON lines")
-
-    ver = sub.add_parser("verify", help="stochastic-stability verification report")
-    add_common(ver)
-    ver.add_argument("--sweep", action="store_true", default=None,
-                     help="add the epsilon-sweep corroboration to the report")
-    ver.add_argument("--eps-list", dest="epsilons", type=_comma_list(float), default=None,
-                     help="comma list of sweep epsilons")
-
-    sw = sub.add_parser("sweep", help="exact stationary masses across epsilons")
-    add_common(sw)
-    sw.add_argument("--eps-list", dest="epsilons", type=_comma_list(float), default=None,
-                    help="comma list of epsilons")
-
-    rep = sub.add_parser("replicator", help="continuum replicator trajectory")
-    add_common(rep)
-    rep.add_argument("--dt", type=float, default=None)
-    rep.add_argument("--steps", type=int, default=None)
-    rep.add_argument("--record-every", type=int, default=None)
-    rep.add_argument("--x0", type=str, default=None,
-                     help="uniform | vertex:<id> | fixture | path to a JSON vector")
-
+    for name, (summary, flags) in _COMMANDS.items():
+        # no abbreviations: verify would otherwise read --eps as --eps-list
+        command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags.split():
+            command.add_argument(flag, default=None, **_FLAGS[flag])
     sub.add_parser("presets", help="print the preset definitions")
     return parser
+
+
+def _read_fields(args: argparse.Namespace) -> set[str]:
+    """The RunConfig fields the parsed command reads: its dests, --p for both probabilities."""
+    dests = set(vars(args)) - {"config", "p"}
+    return dests | {"revision_prob", "neighbor_prob"} if "p" in vars(args) else dests
 
 
 def _holds(value, kind: str) -> bool:
@@ -181,10 +182,10 @@ def _holds(value, kind: str) -> bool:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge preset, config file and flags (flags win) into a RunConfig."""
+    """Merge preset, config file and flags (flags win) into the command's RunConfig fields."""
     cfg = RunConfig(command=args.command)
     updates: dict = {}
-    if args.preset:
+    if getattr(args, "preset", None):
         updates.update(PRESETS[args.preset])
         cfg.preset = args.preset
     if args.config:
@@ -193,25 +194,28 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
         updates.update(file_cfg)
+    fields = _read_fields(args) - {"command", "preset"}
     updates.update((key, value) for key, value in vars(args).items()
-                   if value is not None and key not in _NOT_FIELDS)
-    if args.p is not None:
+                   if value is not None and key in fields)
+    if getattr(args, "p", None) is not None:
         key = "neighbor_prob" if updates.get("dynamic", cfg.dynamic) == "localized" else "revision_prob"
         updates[key] = args.p
 
-    # the command and the preset come from argv and --preset only
-    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)
-             if f.name not in ("command", "preset")}
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for key, value in updates.items():
-        if key not in kinds:
-            raise ValueError(f"unknown configuration field {key!r}")
+        if key not in fields:
+            raise ValueError(f"unknown configuration field {key!r} for {cfg.command}")
         if not _holds(value, kinds[key]):
             raise ValueError(f"configuration field {key!r} must be {kinds[key]}, got {value!r}")
         setattr(cfg, key, value)
-    if not cfg.seeds:
-        raise ValueError("at least one seed is required")
-    if not cfg.epsilons:
-        raise ValueError("at least one epsilon is required")
+    if "sweep" in fields and "epsilons" in updates and not cfg.sweep:
+        raise ValueError(f"{cfg.command} reads epsilons only with sweep")
+    for key in ("seeds", "epsilons"):
+        values = getattr(cfg, key)
+        if not values:
+            raise ValueError(f"at least one {key[:-1]} is required")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{key} must not repeat a value, got {values!r}")
     return cfg
 
 
@@ -220,7 +224,8 @@ def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
     A scalar probability stands for every agent (imitation) or every pair
     (localized); a per-agent list needs N entries, a neighbour matrix N rows of N."""
     imitation = cfg.dynamic == "imitation"
-    probs = cfg.revision_prob if imitation else cfg.neighbor_prob
+    field = "revision_prob" if imitation else "neighbor_prob"
+    probs = getattr(cfg, field)
     if probs == "uniform_random" and not imitation:
         if rng is None:
             raise ValueError("uniform_random neighbour probabilities need a seeded run")
@@ -229,6 +234,9 @@ def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
             redraw = matrix == 0.0
             matrix[redraw] = rng.random(int(redraw.sum()))
         probs = matrix.tolist()
+    elif isinstance(probs, str):
+        raise ValueError(f'{field} must be a number, a list or "uniform_random" (localized only), '
+                         f'got {probs!r}')
     elif isinstance(probs, (int, float)):
         probs = [probs] * cfg.N if imitation else [[probs] * cfg.N] * cfg.N
     if isinstance(probs, list) and len(probs) != cfg.N:
@@ -347,22 +355,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "presets":
         print(json.dumps(PRESETS, indent=2, sort_keys=True))
         return 0
+    made = None
     try:
         cfg = resolve_config(args)
         out_dir = Path(cfg.out)
+        made = None if out_dir.exists() else out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         # looked up at call time, so a wrapper set on the module attribute runs
         code = globals()[f"cmd_{cfg.command}"](cfg, out_dir)
-        metadata = {"config": dataclasses.asdict(cfg), "prng": "numpy.random.default_rng (PCG64)",
+        config = {key: getattr(cfg, key) for key in _read_fields(args)}
+        metadata = {"config": config, "prng": "numpy.random.default_rng (PCG64)",
                     "numpy_version": np.__version__, "signalgame_version": __version__}
         (out_dir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True))
         return code
-    except CapExceededError as exc:
+    except (CapExceededError, ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if made is not None:  # a directory this run made goes again if it stayed empty
+            with contextlib.suppress(OSError):
+                made.rmdir()
+        return 3 if isinstance(exc, CapExceededError) else 1
 
 
 if __name__ == "__main__":

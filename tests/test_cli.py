@@ -86,15 +86,119 @@ def test_presets_command(capsys):
     assert json.loads(capsys.readouterr().out) == EXPECTED_PRESETS
 
 
-def test_every_flag_sets_a_config_field():
-    """resolve_config copies each flag to the field named by its dest, so a flag
-    whose dest names no field would be refused, not dropped silently."""
+# The RunConfig fields each command reads, and so accepts from a flag, a preset or a file.
+COMMAND_FIELDS = {
+    "simulate": {"m", "n", "N", "dynamic", "epsilon", "d", "revision_prob", "neighbor_prob",
+                 "horizon", "record_every", "seeds", "snapshots", "out"},
+    "verify": {"m", "n", "N", "dynamic", "d", "revision_prob", "neighbor_prob", "sweep",
+               "epsilons", "out"},
+    "sweep": {"m", "n", "N", "dynamic", "d", "revision_prob", "neighbor_prob", "epsilons", "out"},
+    "replicator": {"m", "n", "dt", "steps", "record_every", "x0", "out"},
+}
+
+
+def test_every_flag_sets_a_config_field(tmp_path, capsys):
+    """resolve_config copies each flag to the field named by its dest (--p to both
+    probabilities), so a command's flags are the fields it reads; metadata.json
+    records those fields, the command and, on simulate, the preset."""
     fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    for name, sub in subparsers.choices.items():
+    quick = {"simulate": ["--horizon", "2"], "verify": ["--N", "2"],
+             "sweep": ["--N", "2", "--eps-list", "0.1"], "replicator": ["--steps", "2"]}
+    assert set(subparsers.choices) == {*COMMAND_FIELDS, "presets"}
+    for name, read in COMMAND_FIELDS.items():
+        sub = subparsers.choices[name]
         dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
-        assert dests <= fields | {"config", "preset", "p", "command"}, name
+        assert dests <= fields | {"config", "p"}, name
+        probs = {"revision_prob", "neighbor_prob"} if "p" in dests else set()
+        assert dests - {"config", "p", "preset"} | probs == read, name
+        out = tmp_path / name
+        assert cli.main([name, *quick[name], "--out", str(out)]) == 0
+        config = json.loads((out / "metadata.json").read_text())["config"]
+        assert set(config) == read | {"command"} | ({"preset"} & dests), name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("simulate", ["--dt", "0.1"], {"x0": "fixture"}),
+    ("verify", ["--preset", "fig2"], {"horizon": 5}),
+    ("sweep", ["--eps", "0.05"], {"sweep": True}),
+    ("replicator", ["--N", "9"], {"epsilon": 0.1}),
+], ids=["simulate", "verify", "sweep", "replicator"])
+def test_field_the_command_does_not_read(tmp_path, capsys, command, flag, key):
+    """A flag or a config key outside the command's fields exits 1 before any output;
+    --eps is not taken for an abbreviation of --eps-list."""
+    out = tmp_path / "out"
+    assert cli.main([command, *flag, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(f": error: unrecognized arguments: {' '.join(flag)}")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(key))
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    field = next(iter(key))
+    assert capsys.readouterr().err == f"error: unknown configuration field {field!r} for {command}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file_cfg", [None, {"epsilons": [0.1]}, {"sweep": False, "epsilons": [0.1]}],
+                         ids=["flag", "file", "file-sweep-false"])
+def test_verify_reads_epsilons_only_with_sweep(tmp_path, capsys, file_cfg):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(file_cfg))
+    argv = ["--eps-list", "0.1"] if file_cfg is None else ["--config", str(config)]
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: verify reads epsilons only with sweep\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--seed", "0,0"],
+                                  ["simulate", "--seed", "0", "--seed", "0"],
+                                  ["simulate", "--config", "CONFIG"],
+                                  ["sweep", "--eps-list", "0.1,0.1"],
+                                  ["verify", "--sweep", "--eps-list", "0.1,0.10"]],
+                         ids=["seed-list", "seed-flags", "seeds-file", "sweep-eps", "verify-eps"])
+def test_repeated_seed_or_epsilon(tmp_path, capsys, argv):
+    """A repeated seed would count twice in the summary mean; a repeated epsilon
+    would pay for a second stationary solve."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seeds": [1, 1]}))
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "must not repeat" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--m", "2", "--n", "2", "--N", "1", "--horizon", "3"], 1),
+    (["verify", "--m", "2", "--n", "3", "--N", "4"], 3),
+], ids=["simulate-exit-1", "verify-exit-3"])
+def test_failed_run_removes_only_the_directory_it_made(tmp_path, capsys, argv, code):
+    made = tmp_path / "made"
+    assert cli.main(argv + ["--out", str(made)]) == code
+    assert not made.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert cli.main(argv + ["--out", str(kept)]) == code
+    assert kept.is_dir()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [{"revision_prob": "uniform_random"},
+                                 {"dynamic": "localized", "neighbor_prob": "uniform"}],
+                         ids=["imitation-uniform_random", "localized-uniform"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_string_probability(tmp_path, capsys, command, bad):
+    """The one string probability is localized "uniform_random"; the error names
+    the field and the forms it takes."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    field, value = list(bad.items())[-1]
+    assert capsys.readouterr().err == (f'error: {field} must be a number, a list or '
+                                       f'"uniform_random" (localized only), got {value!r}\n')
 
 
 @pytest.mark.parametrize("argv,code,err", [
@@ -268,21 +372,26 @@ class TestVerifyCommand:
                 assert "unknown configuration field" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [
-    {"N": 3, "revision_prob": [0.3, 0.3]},
-    {"N": 3, "revision_prob": [0.3, 0.3, 0.3, 0.3]},
-    {"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5, 0.5], [0.5, 0.5]]},
-    {"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5] * 3, [0.5] * 3, [0.5] * 2]},
-    {"N": 3, "d": 2.5},
-    {"N": 3, "d": 2.0},
+@pytest.mark.parametrize("bad,err", [
+    ({"N": 3, "revision_prob": [0.3, 0.3]}, "must list N=3 entries"),
+    ({"N": 3, "revision_prob": [0.3, 0.3, 0.3, 0.3]}, "must list N=3 entries"),
+    ({"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5, 0.5], [0.5, 0.5]]},
+     "must list N=3 entries"),
+    ({"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5] * 3, [0.5] * 3, [0.5] * 2]},
+     "must be a square matrix"),
+    ({"N": 3, "d": 2.5}, "configuration field 'd' must be int"),
+    ({"N": 3, "d": 2.0}, "configuration field 'd' must be int"),
 ], ids=["short-list", "long-list", "small-matrix", "ragged-matrix", "fractional-d", "float-d"])
 @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
-def test_config_disagreeing_with_n(tmp_path, capsys, bad, command):
+def test_config_disagreeing_with_n(tmp_path, capsys, bad, err, command):
+    # each command's file holds only fields that command reads
+    extra = {"simulate": {"horizon": 5}, "verify": {}, "sweep": {"epsilons": [0.1]}}[command]
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"m": 2, "n": 2, "horizon": 5, "epsilons": [0.1], **bad}))
+    config.write_text(json.dumps({"m": 2, "n": 2, **extra, **bad}))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and err in lines[0]
     assert not (out / "metadata.json").exists()
 
 
@@ -294,7 +403,7 @@ def test_config_disagreeing_with_n(tmp_path, capsys, bad, command):
     ("simulate", {"dynamic": None}),
     ("replicator", {"dt": "0.01"}),
     ("simulate", {"seeds": 5}),
-    ("verify", {"seeds": [1.5]}),
+    ("simulate", {"seeds": [1.5]}),
     ("sweep", {"epsilons": ["0.1"]}),
 ], ids=["sweep-str", "snapshots-str", "record_every-float", "m-bool", "dynamic-null", "dt-str",
         "seeds-int", "seeds-float", "epsilons-str"])
@@ -310,13 +419,16 @@ def test_config_value_of_wrong_type(tmp_path, capsys, command, bad):
 
 def test_float_field_takes_an_int(tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"m": 2, "n": 2, "dt": 1, "epsilons": [1, 0.5]}))
+    config.write_text(json.dumps({"m": 2, "n": 2, "dt": 1}))
     out = tmp_path / "out"
     assert cli.main(["replicator", "--config", str(config), "--x0", "vertex:5",
                      "--steps", "3", "--out", str(out)]) == 0
     capsys.readouterr()
-    config = json.loads((out / "metadata.json").read_text())["config"]
-    assert (config["dt"], config["epsilons"]) == (1, [1, 0.5])
+    assert json.loads((out / "metadata.json").read_text())["config"]["dt"] == 1
+    # sweep reads epsilons; an int passes the type check (the sweep then refuses 1 itself)
+    config.write_text(json.dumps({"epsilons": [1, 0.5]}))
+    args = cli.build_parser().parse_args(["sweep", "--config", str(config)])
+    assert cli.resolve_config(args).epsilons == [1, 0.5]
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "replicator"])
