@@ -14,6 +14,12 @@ and stationary distributions of the perturbed chain for epsilon sweeps. The
 arborescence weight needs no tree: Chu-Liu/Edmonds contracts the cycles of
 cheapest out-edges on reduced weights until none is left, and sums what it paid.
 
+Free moves (resistance 0) are numpy edge arrays sorted by source; every search
+on them repeats a pull, one gather and one ``ufunc.reduceat``, until nothing
+changes. If low[v] is the least state v reaches and high[v] the largest low
+over what v reaches, v is the least state of a closed class exactly when
+low[v] = high[v] = v; its class is what it reaches, pulled over reversed edges.
+
 When every agent uses the same revision or neighbour probability, the chain
 commutes with agent permutations and is strongly lumpable onto multisets of
 languages (Kemeny & Snell, Finite Markov Chains, 1960, 6.3), so recurrent
@@ -40,8 +46,6 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .dynamics import ImitationParams, LocalParams
 from .errors import CapExceededError, ConvergenceError
@@ -148,6 +152,28 @@ def _outer(factors: np.ndarray, combine: np.ufunc) -> np.ndarray:
     return joint
 
 
+def _settle(graph: tuple, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Pull ``values`` (last axis by state) over the graph until nothing changes: a pull
+    gives every state ``ufunc`` over the values at the targets of its edges."""
+    starts, dsts = graph
+    while not np.array_equal(
+            values, pulled := ufunc.reduceat(np.take(values, dsts, axis=-1), starts, axis=-1)):
+        values = pulled
+    return values
+
+
+def _reaching(free: tuple, new: np.ndarray) -> np.ndarray:
+    """(V, C) states, per column, that reach a ``new`` state of that column by free moves.
+    The columns are packed 64 to a word, so a pull moves V words, not V * C booleans."""
+    V, C = new.shape
+    padded = np.zeros((V, -(-C // 64) * 64), dtype=bool)
+    padded[:, :C] = new
+    words = np.packbits(padded, bitorder="little").view(np.uint64).reshape(V, -1).T
+    words = _settle(free, words, np.bitwise_or)
+    bits = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), bitorder="little")
+    return bits.view(bool).reshape(V, -1)[:, :C]
+
+
 class _ChainModel:
     """Shared scaffolding for the two dynamics.
 
@@ -227,11 +253,11 @@ class _ChainModel:
     @cached_property
     def _search(self) -> tuple:
         """(space, closed classes of the eps=0 chain as its indices and as labelled
-        indices, their language ids or None, per-agent resistances, zero-resistance
-        graph). Multisets are searched when every agent uses one probability; a
-        multiset class that is not one homogeneous state has no exact labelled
-        image, so then labelled states are searched. Each space is built, and
-        checked against the cap, only when it is searched."""
+        indices, their language ids or None, per-agent resistances, free-move graph as
+        each state's first edge and the edge targets). Multisets are searched when every
+        agent uses one probability; a multiset class that is not one homogeneous state
+        has no exact labelled image, so then labelled states are searched. Each space is
+        built, and checked against the cap, only when it is searched."""
         kinds = [MultisetSpace, StateSpace] if self.shared_prob is not None else [StateSpace]
         for kind in kinds:
             space = self.space if kind is StateSpace else MultisetSpace(self.table, self.n_agents)
@@ -240,7 +266,8 @@ class _ChainModel:
             # Free moves grow one agent at a time: each partial move is extended by every
             # language that agent can adopt at no cost. Agent orders that reach one partial
             # multiset are merged, by a sort (numpy 2's np.unique hashes int64 keys, which is
-            # far slower at these sizes); the graph sums the duplicates the last agent leaves.
+            # far slower at these sizes), and once more with a self-loop at every state,
+            # which changes no reachability and gives every state an edge in each direction.
             srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
             for i in range(self.n_agents):
                 if i > 1:
@@ -248,23 +275,26 @@ class _ChainModel:
                     srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
                 edge, lid = np.nonzero(res[srcs, i] == 0)
                 srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
-            graph = csr_matrix((np.ones(srcs.size, dtype=np.float32), (srcs, dsts)),
-                               shape=(space.size, space.size))
-            n_comps, labels = connected_components(graph, directed=True, connection="strong")
-            srcs, dsts = graph.nonzero()
-            leaving = labels[srcs] != labels[dsts]
-            open_comps = np.zeros(n_comps, dtype=bool)
-            open_comps[labels[srcs[leaving]]] = True
-            closed = np.flatnonzero(~open_comps[labels])
-            closed = closed[np.argsort(labels[closed], kind="stable")]
-            cuts = np.flatnonzero(np.diff(labels[closed])) + 1
-            classes = sorted((cls.tolist() for cls in np.split(closed, cuts)), key=min)
+            states = np.arange(space.size)
+            pairs = np.sort(np.append(srcs * space.size + dsts, states * (space.size + 1)))
+            srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
+            free = np.searchsorted(srcs, states), dsts
+            order = np.argsort(dsts, kind="stable")
+            back = np.searchsorted(dsts[order], states), srcs[order]
+            low = _settle(free, states, np.minimum)
+            high = _settle(free, low, np.maximum)
+            roots = np.where((low == states) & (high == states), states, -1)
+            label = _settle(back, roots, np.maximum)
+            closed = np.flatnonzero(label >= 0)
+            closed = closed[np.argsort(label[closed], kind="stable")]
+            cuts = np.flatnonzero(np.diff(label[closed])) + 1
+            classes = [cls.tolist() for cls in np.split(closed, cuts)]
             heads = ids[[cls[0] for cls in classes]]
             homogeneous = all(len(cls) == 1 for cls in classes) and (heads.T == heads[:, 0]).all()
             if homogeneous or kind is StateSpace:
                 codes = _codes(ids, self.table.size)
                 lang_ids = heads[:, 0].tolist() if homogeneous else None
-                return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, graph
+                return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, free
 
     def recurrent_classes(self) -> list[list[int]]:
         """Closed communication classes of the unperturbed (eps=0) chain."""
@@ -297,9 +327,8 @@ class _ChainModel:
         whole = space.expand(cost) if rows >= V else None
         while True:
             idle = 0 if new.any() else idle + 1
-            while new.any():  # zero-resistance closure
-                dist[new] = level
-                new = (free @ new > 0) & (dist == unreached)
+            # A state that reaches one reached earlier was itself reached earlier.
+            dist[_reaching(free, new) & (dist == unreached)] = level
             open_rows = np.flatnonzero((dist == unreached).any(axis=1))
             if idle == N or open_rows.size == 0:
                 break

@@ -9,7 +9,7 @@ flags, flags winning. ``_COMMANDS`` lists each command's flags, one per
 a file value for another field, or of the wrong type, is refused. ``main`` runs
 every command but ``presets`` alike: resolve the config, create the output
 directory, call ``cmd_<command>``, then write metadata.json (the fields read, PRNG
-identity, package version); a failed run removes a directory it made and left empty.
+identity, package version); a failed run removes the directories it made while empty.
 
 Exit codes: 0 success (verification passed or not applicable), 1 usage
 error, 2 verification failure, 3 enumeration cap exceeded: more than 8,192
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 from collections.abc import Callable
@@ -222,7 +223,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
     """Build the dynamics parameter object; draws random p_ij when asked to.
     A scalar probability stands for every agent (imitation) or every pair
-    (localized); a per-agent list needs N entries, a neighbour matrix N rows of N."""
+    (localized); a per-agent list needs N entries, a neighbour matrix N rows of N,
+    and every probability is an int or a float (not a bool, not a string)."""
     imitation = cfg.dynamic == "imitation"
     field = "revision_prob" if imitation else "neighbor_prob"
     probs = getattr(cfg, field)
@@ -237,10 +239,16 @@ def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
     elif isinstance(probs, str):
         raise ValueError(f'{field} must be a number, a list or "uniform_random" (localized only), '
                          f'got {probs!r}')
-    elif isinstance(probs, (int, float)):
+    elif type(probs) in (int, float):
         probs = [probs] * cfg.N if imitation else [[probs] * cfg.N] * cfg.N
-    if isinstance(probs, list) and len(probs) != cfg.N:
-        raise ValueError(f"per-agent probabilities must list N={cfg.N} entries, got {len(probs)}")
+    if type(probs) is not list or len(probs) != cfg.N:
+        raise ValueError(f"{field} must list N={cfg.N} entries, got {probs!r}")
+    for row in [probs] if imitation else probs:
+        if type(row) is not list or len(row) != cfg.N:
+            raise ValueError(f"{field} must be a square matrix, N={cfg.N} rows of {cfg.N}, "
+                             f"got the row {row!r}")
+        if any(type(p) not in (int, float) for p in row):
+            raise ValueError(f"{field} entries must be numbers, got {row!r}")
     if imitation:
         return ImitationParams(cfg.epsilon, cfg.d, tuple(float(p) for p in probs))
     if cfg.dynamic == "localized":
@@ -355,11 +363,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "presets":
         print(json.dumps(PRESETS, indent=2, sort_keys=True))
         return 0
-    made = None
+    made = []
     try:
         cfg = resolve_config(args)
         out_dir = Path(cfg.out)
-        made = None if out_dir.exists() else out_dir
+        # the levels mkdir creates, leaf first, up to the first missing ancestor
+        made = list(itertools.takewhile(lambda level: not level.exists(),
+                                        [out_dir, *out_dir.parents]))
         out_dir.mkdir(parents=True, exist_ok=True)
         # looked up at call time, so a wrapper set on the module attribute runs
         code = globals()[f"cmd_{cfg.command}"](cfg, out_dir)
@@ -370,9 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (CapExceededError, ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if made is not None:  # a directory this run made goes again if it stayed empty
-            with contextlib.suppress(OSError):
-                made.rmdir()
+        with contextlib.suppress(OSError):  # what this run made goes, leaf first, while empty
+            for level in made:
+                level.rmdir()
         return 3 if isinstance(exc, CapExceededError) else 1
 
 

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -435,6 +437,45 @@ class SwitchChain(_ChainModel):
         keep = np.eye(2)[ids]
         free, mutate = (1.0 - keep, keep) if self.flip else (keep, 1.0 - keep)
         return (1.0 - eps) * free + eps * mutate
+
+
+class GraphChain(_ChainModel):
+    """One agent whose free moves are the edges of a given graph: it moves to a
+    uniform successor, or with probability eps to a uniform state."""
+
+    def __init__(self, successors):
+        super().__init__(SimpleNamespace(size=len(successors)), 1)
+        self.free = np.zeros((len(successors),) * 2)
+        for v, succ in enumerate(successors):
+            self.free[v, succ] = 1.0
+        self.free /= self.free.sum(axis=1, keepdims=True)
+
+    def per_agent_dists(self, ids, eps):
+        return ((1.0 - eps) * self.free[ids[:, 0]] + eps / len(self.free))[:, None, :]
+
+
+def scipy_closed_classes(successors):
+    """Closed strongly connected components from scipy's csgraph, each sorted, by least state."""
+    n = len(successors)
+    rows = [v for v, succ in enumerate(successors) for _ in succ]
+    cols = [w for succ in successors for w in succ]
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_comps, labels = connected_components(graph, directed=True, connection="strong")
+    leaving = {labels[v] for v, w in zip(rows, cols) if labels[v] != labels[w]}
+    return sorted(np.flatnonzero(labels == c).tolist() for c in range(n_comps) if c not in leaving)
+
+
+# Directed graphs on 1-12 states in which every state has an out-edge (repeats allowed).
+_GRAPHS = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=n, max_size=n))
+
+
+@given(successors=_GRAPHS)
+@settings(max_examples=200, deadline=None)
+def test_closed_classes_match_scipy(successors):
+    chain = GraphChain(successors)
+    assert chain.recurrent_classes() == scipy_closed_classes(successors)
+    assert_matches_oracle(chain)
 
 
 class TestLeastResistance:

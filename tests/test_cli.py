@@ -176,13 +176,14 @@ def test_repeated_seed_or_epsilon(tmp_path, capsys, argv):
     (["verify", "--m", "2", "--n", "3", "--N", "4"], 3),
 ], ids=["simulate-exit-1", "verify-exit-3"])
 def test_failed_run_removes_only_the_directory_it_made(tmp_path, capsys, argv, code):
-    made = tmp_path / "made"
-    assert cli.main(argv + ["--out", str(made)]) == code
-    assert not made.exists()
+    # mkdir(parents=True) may make several levels; each goes, up to the first that existed
+    assert cli.main(argv + ["--out", str(tmp_path / "made" / "b" / "c")]) == code
+    assert list(tmp_path.iterdir()) == []
     kept = tmp_path / "kept"
-    kept.mkdir()
-    assert cli.main(argv + ["--out", str(kept)]) == code
-    assert kept.is_dir()
+    (kept / "other").mkdir(parents=True)
+    for out in (kept / "other", kept / "x" / "y"):
+        assert cli.main(argv + ["--out", str(out)]) == code
+        assert sorted(kept.iterdir()) == [kept / "other"]
     capsys.readouterr()
 
 
@@ -199,6 +200,51 @@ def test_string_probability(tmp_path, capsys, command, bad):
     field, value = list(bad.items())[-1]
     assert capsys.readouterr().err == (f'error: {field} must be a number, a list or '
                                        f'"uniform_random" (localized only), got {value!r}\n')
+
+
+@pytest.mark.parametrize("command,bad,err", [
+    ("simulate", {"revision_prob": ["0.3", "0.3", "0.3"]}, "entries must be numbers, got ["),
+    ("simulate", {"revision_prob": [True, 0.3, 0.3]}, "entries must be numbers, got ["),
+    ("verify", {"revision_prob": [0.3, None, 0.3]}, "entries must be numbers, got ["),
+    ("simulate", {"dynamic": "localized", "neighbor_prob": [[0.5] * 3, [0.5] * 3, [0.5, 0.5, "1"]]},
+     "entries must be numbers, got ["),
+    ("sweep", {"dynamic": "localized", "neighbor_prob": [[0.5] * 3, [0.5, False, 0.5], [0.5] * 3]},
+     "entries must be numbers, got ["),
+    ("simulate", {"revision_prob": True}, "must list N=3 entries, got True"),
+    ("verify", {"dynamic": "localized", "neighbor_prob": False}, "must list N=3 entries, got False"),
+], ids=["strings", "bool", "null", "localized-string", "localized-bool", "scalar-bool",
+        "localized-scalar-bool"])
+def test_probabilities_must_be_numbers(tmp_path, capsys, command, bad, err):
+    """A string or a bool is refused, in a list or alone: float() would take "0.3",
+    and float(True) would pass as a probability of 1.0."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"N": 3, **bad}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {list(bad)[-1]} {err}")
+    assert not out.exists()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """The package needs numpy alone: verify, sweep, simulate and replicator runs in a
+    fresh interpreter leave no scipy module loaded."""
+    script = """
+import sys
+from signalgame import cli
+runs = [["verify", "--m", "2", "--n", "2", "--N", "3"],
+        ["sweep", "--m", "2", "--n", "2", "--N", "2", "--eps-list", "0.1"],
+        ["simulate", "--m", "2", "--n", "2", "--N", "3", "--horizon", "20"],
+        ["replicator", "--m", "2", "--n", "2", "--steps", "20"]]
+for k, argv in enumerate(runs):
+    assert cli.main(argv + ["--out", f"{sys.argv[1]}/{k}"]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv,code,err", [
@@ -373,12 +419,12 @@ class TestVerifyCommand:
 
 
 @pytest.mark.parametrize("bad,err", [
-    ({"N": 3, "revision_prob": [0.3, 0.3]}, "must list N=3 entries"),
-    ({"N": 3, "revision_prob": [0.3, 0.3, 0.3, 0.3]}, "must list N=3 entries"),
+    ({"N": 3, "revision_prob": [0.3, 0.3]}, "revision_prob must list N=3 entries"),
+    ({"N": 3, "revision_prob": [0.3, 0.3, 0.3, 0.3]}, "revision_prob must list N=3 entries"),
     ({"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5, 0.5], [0.5, 0.5]]},
-     "must list N=3 entries"),
+     "neighbor_prob must list N=3 entries"),
     ({"N": 3, "dynamic": "localized", "neighbor_prob": [[0.5] * 3, [0.5] * 3, [0.5] * 2]},
-     "must be a square matrix"),
+     "neighbor_prob must be a square matrix, N=3 rows of 3, got the row [0.5, 0.5]"),
     ({"N": 3, "d": 2.5}, "configuration field 'd' must be int"),
     ({"N": 3, "d": 2.0}, "configuration field 'd' must be int"),
 ], ids=["short-list", "long-list", "small-matrix", "ragged-matrix", "fractional-d", "float-d"])
