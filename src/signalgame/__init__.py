@@ -23,62 +23,28 @@ from .dynamics import (
     run,
 )
 from .errors import CapExceededError, ConvergenceError
-from .languages import (
-    Language,
-    LanguageTable,
-    Profile,
-    avg_fitness,
-    trace_raising_neighbor,
-    cross_trace,
-    delta_scaled,
-    disk,
-    enumerate_languages,
-    fitness_scaled,
-    get_table,
-    hamming_q,
-    is_aligned,
-    is_optimal,
-    language_count,
-    permute,
-    potential_scaled,
-)
-from .replicator import integrate, mean_fitness, payoff_matrix, replicator_rhs
+from .languages import LanguageTable, get_table, language_count
+from .replicator import integrate, payoff_matrix
 
 __all__ = [
     "CapExceededError",
     "ConvergenceError",
     "ImitationChain",
     "ImitationParams",
-    "Language",
     "LanguageTable",
     "LocalParams",
     "LocalizedChain",
     "MAX_STATES",
-    "Profile",
     "ResistanceGraph",
     "StateSpace",
     "StochasticPotentialResult",
     "Trajectory",
     "VerifyReport",
-    "avg_fitness",
-    "trace_raising_neighbor",
-    "cross_trace",
-    "delta_scaled",
-    "disk",
-    "enumerate_languages",
-    "fitness_scaled",
     "get_table",
-    "hamming_q",
     "integrate",
-    "is_aligned",
-    "is_optimal",
     "language_count",
     "make_chain",
-    "mean_fitness",
     "payoff_matrix",
-    "permute",
-    "potential_scaled",
-    "replicator_rhs",
     "run",
     "stationary",
     "stochastic_potential",

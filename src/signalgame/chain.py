@@ -66,7 +66,8 @@ def _physical_memory() -> int:
 
 def _capped(size: int, what: str) -> int:
     if size > MAX_STATES:
-        raise CapExceededError(f"{what} has {size} states, above the cap of {MAX_STATES}")
+        count = size if size < 10**100 else "more than 10^100"  # str() refuses 4,301 digits
+        raise CapExceededError(f"{what} has {count} states, above the cap of {MAX_STATES}")
     return size
 
 

@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -31,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import make_chain, sweep_stationary, verify_stability
+from .chain import _capped, make_chain, sweep_stationary, verify_stability
 from .dynamics import ImitationParams, LocalParams, random_profile_ids, run
 from .errors import CapExceededError
-from .languages import get_table, language_count
+from .languages import get_table
 from .replicator import SUBOPTIMAL_REST_X0, integrate, payoff_matrix
 
 PRESETS: dict[str, dict] = {
@@ -290,8 +291,20 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _chain(cfg: RunConfig, labelled: bool):
+    """The chain of a verify or sweep run. The space it will enumerate, K^N labelled
+    states or C(K+N-1, N) multisets, is checked against the cap first: the per-agent
+    probabilities of a large N would take minutes to build."""
+    table, N = get_table(cfg.m, cfg.n), max(cfg.N, 0)  # the parameters refuse N < 2
+    if labelled:
+        _capped(table.size**N, "the labelled state space")
+    else:
+        _capped(math.comb(table.size + N - 1, N), "the multiset space")
+    return make_chain(table, _make_params(cfg))
+
+
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg))
+    model = _chain(cfg, labelled=cfg.sweep)
     report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
     text = report.to_json()
     (out_dir / "verify_report.json").write_text(text)
@@ -300,7 +313,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    model = make_chain(get_table(cfg.m, cfg.n), _make_params(cfg))
+    model = _chain(cfg, labelled=True)
     rows = sweep_stationary(model, cfg.epsilons)
     lines = ["eps,optimal_mass,top_state_id,top_state_mass"]
     for row in rows:
@@ -337,7 +350,7 @@ def _resolve_x0(spec: str, K: int) -> np.ndarray:
 
 def cmd_replicator(cfg: RunConfig, out_dir: Path) -> int:
     A = payoff_matrix(cfg.m, cfg.n)
-    K = language_count(cfg.m, cfg.n)
+    K = len(A)
     x0 = _resolve_x0(cfg.x0, K)
     traj = integrate(x0, A, dt=cfg.dt, steps=cfg.steps, record_every=cfg.record_every)
     header = "t,W," + ",".join(f"x_{k}" for k in range(K))

@@ -47,19 +47,6 @@ def payoff_matrix(m: int, n: int) -> np.ndarray:
     return get_table(m, n).payoff.astype(np.int64)
 
 
-def mean_fitness(x: np.ndarray, payoff: np.ndarray) -> float:
-    """Average fitness of the mixed state: x' A x."""
-    x = np.asarray(x, dtype=float)
-    return float(x @ payoff @ x)
-
-
-def replicator_rhs(x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """Time derivative of each share: grows with excess fitness over the mean."""
-    x = np.asarray(x, dtype=float)
-    fitness = payoff @ x
-    return x * (fitness - x @ fitness)
-
-
 @dataclass
 class ReplicatorTrajectory:
     """Recorded flow of one (or a batch of) initial conditions.

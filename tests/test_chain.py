@@ -40,7 +40,9 @@ from signalgame.dynamics import (
     _step_localized_ids,
 )
 from signalgame.errors import CapExceededError, ConvergenceError
-from signalgame.languages import Language, get_table, language_count, permute
+from signalgame.languages import get_table, language_count
+
+from reference import Language, permute
 
 
 @pytest.fixture(scope="module")
@@ -560,7 +562,7 @@ class TestLeastResistance:
         assert resistance223.lang_ids == list(range(16))
 
     def test_exit_and_entry_resistances(self, table22, resistance223):
-        from signalgame.languages import trace_raising_neighbor
+        from reference import trace_raising_neighbor
 
         r = resistance223.r
         selftrace = np.diagonal(table22.cross)

@@ -21,7 +21,9 @@ from signalgame.dynamics import (
     random_profile_ids,
     run,
 )
-from signalgame.languages import Language, Profile, trace_raising_neighbor, get_table
+from signalgame.languages import get_table
+
+from reference import Language, Profile, trace_raising_neighbor
 
 ALIGNED = Language(2, 2, (0, 1), (0, 1))
 SWAPPED = Language(2, 2, (1, 0), (1, 0))

