@@ -8,7 +8,6 @@ from .chain import (
     LocalizedChain,
     ResistanceGraph,
     StateSpace,
-    StochasticPotentialResult,
     VerifyReport,
     make_chain,
     stationary,
@@ -37,7 +36,6 @@ __all__ = [
     "MAX_STATES",
     "ResistanceGraph",
     "StateSpace",
-    "StochasticPotentialResult",
     "Trajectory",
     "VerifyReport",
     "get_table",

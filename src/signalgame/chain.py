@@ -23,10 +23,10 @@ low[v] = high[v] = v; its class is what it reaches, pulled over reversed edges.
 When every agent uses the same revision or neighbour probability, the chain
 commutes with agent permutations and is strongly lumpable onto multisets of
 languages (Kemeny & Snell, Finite Markov Chains, 1960, 6.3), so recurrent
-classes and least resistances are searched there. All labelled states of a
-multiset have the same resistances to a permutation-invariant set, and a class
-that is one homogeneous multiset is one labelled state, so the results are
-exact; if some class is not, labelled states are searched instead.
+classes and least resistances are searched there, and on labelled states
+otherwise. The results are exact for the lumped chain, whose resistances are
+minima over each orbit; a multiset class is listed by its sorted representatives.
+Both dynamics rest only in homogeneous states, each of them one labelled state.
 
 Stationary solves use a blocked Grassmann-Taksar-Heyman elimination:
 subtraction-free, so componentwise accurate even when the spectral gap is
@@ -38,11 +38,11 @@ the same IEEE operations in the same order, so the result is fixed bit for bit.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
-import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,10 +64,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _capped(size: int, what: str) -> int:
-    if size > MAX_STATES:
-        count = size if size < 10**100 else "more than 10^100"  # str() refuses 4,301 digits
-        raise CapExceededError(f"{what} has {count} states, above the cap of {MAX_STATES}")
+def space_size(K: int, N: int, multisets: bool, capped: bool = True) -> int:
+    """States of a space of N agents on K languages: C(K+N-1, N) multisets, or K^N
+    labelled states. The count is a product of N (or min(N, K-1)) growing factors, so
+    when ``capped`` it raises CapExceededError at the first partial product above
+    MAX_STATES, a few factors in, and never forms the count of a huge N."""
+    a, k = (max(K - 1, N), min(K - 1, N)) if multisets else (0, N)
+    size = 1
+    for j in range(1, k + 1):
+        size = size * (a + j) // j if multisets else size * K
+        if capped and size > MAX_STATES:
+            what = "multiset space" if multisets else "labelled state space"
+            count = size if j == k else f"more than {size}"
+            raise CapExceededError(f"the {what} has {count} states, above the cap of {MAX_STATES}")
     return size
 
 
@@ -77,7 +86,7 @@ class StateSpace:
     def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
         self.n_agents = n_agents
-        self.size = _capped(table.size**n_agents, "the labelled state space")
+        self.size = space_size(table.size, n_agents, multisets=False)
 
     def all_ids(self) -> np.ndarray:
         """(size, N) array of language ids, row v the joint state of index v."""
@@ -107,7 +116,7 @@ class MultisetSpace:
 
     def __init__(self, table, n_agents: int):
         self.table, self.n_agents, K = table, n_agents, table.size
-        _capped(math.comb(K + n_agents - 1, n_agents), "the multiset space")
+        space_size(K, n_agents, multisets=True)
         rows = np.arange(K)[:, None]
         self._insert, self._gather = [rows.T], []
         for i in range(1, n_agents):
@@ -189,6 +198,7 @@ class _ChainModel:
     """
 
     _alike: np.ndarray | None = None  # probabilities that must agree for agents to be alike
+    _probs: np.ndarray | None = None  # the revision or neighbour probabilities the hook reads
 
     def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
@@ -213,10 +223,15 @@ class _ChainModel:
         """(V, N, K) float32 per-agent resistances for (V, N) states.
 
         An affine probability that is positive anywhere in (0, 1) is positive
-        at epsilon 1/2, so one probe there separates resistance 1 from inf.
+        at epsilon 1/2, so one probe there separates resistance 1 from inf. The probes
+        set every probability below 1 to 1/2: which moves are possible depends only on
+        which are 1, and a tiny one could underflow to 0.0 in a product (5e-324 / 2 does).
         """
-        free = self.per_agent_dists(ids, 0.0) > 0.0
-        possible = self.per_agent_dists(ids, 0.5) > 0.0
+        probe = copy.copy(self)
+        if self._probs is not None:
+            probe._probs = np.where(self._probs == 1.0, 1.0, 0.5)
+        free = probe.per_agent_dists(ids, 0.0) > 0.0
+        possible = probe.per_agent_dists(ids, 0.5) > 0.0
         return np.where(free, np.float32(0), np.where(possible, np.float32(1), np.float32(_INF)))
 
     # -- public operations ---------------------------------------------------
@@ -255,47 +270,45 @@ class _ChainModel:
     def _search(self) -> tuple:
         """(space, closed classes of the eps=0 chain as its indices and as labelled
         indices, their language ids or None, per-agent resistances, free-move graph as
-        each state's first edge and the edge targets). Multisets are searched when every
-        agent uses one probability; a multiset class that is not one homogeneous state
-        has no exact labelled image, so then labelled states are searched. Each space is
-        built, and checked against the cap, only when it is searched."""
-        kinds = [MultisetSpace, StateSpace] if self.shared_prob is not None else [StateSpace]
-        for kind in kinds:
-            space = self.space if kind is StateSpace else MultisetSpace(self.table, self.n_agents)
-            ids = space.all_ids()
-            res = self._resistances(ids)
-            # Free moves grow one agent at a time: each partial move is extended by every
-            # language that agent can adopt at no cost. Agent orders that reach one partial
-            # multiset are merged, by a sort (numpy 2's np.unique hashes int64 keys, which is
-            # far slower at these sizes), and once more with a self-loop at every state,
-            # which changes no reachability and gives every state an edge in each direction.
-            srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
-            for i in range(self.n_agents):
-                if i > 1:
-                    pairs = np.sort(srcs * space.size + dsts)
-                    srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
-                edge, lid = np.nonzero(res[srcs, i] == 0)
-                srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
-            states = np.arange(space.size)
-            pairs = np.sort(np.append(srcs * space.size + dsts, states * (space.size + 1)))
-            srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
-            free = np.searchsorted(srcs, states), dsts
-            order = np.argsort(dsts, kind="stable")
-            back = np.searchsorted(dsts[order], states), srcs[order]
-            low = _settle(free, states, np.minimum)
-            high = _settle(free, low, np.maximum)
-            roots = np.where((low == states) & (high == states), states, -1)
-            label = _settle(back, roots, np.maximum)
-            closed = np.flatnonzero(label >= 0)
-            closed = closed[np.argsort(label[closed], kind="stable")]
-            cuts = np.flatnonzero(np.diff(label[closed])) + 1
-            classes = [cls.tolist() for cls in np.split(closed, cuts)]
-            heads = ids[[cls[0] for cls in classes]]
-            homogeneous = all(len(cls) == 1 for cls in classes) and (heads.T == heads[:, 0]).all()
-            if homogeneous or kind is StateSpace:
-                codes = _codes(ids, self.table.size)
-                lang_ids = heads[:, 0].tolist() if homogeneous else None
-                return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, free
+        each state's first edge and the edge targets). One space is built, checked
+        against the cap and searched: multisets when every agent uses one probability,
+        labelled states otherwise. A multiset class is listed by the labelled indices of
+        its sorted representatives; language ids need every class to be one homogeneous
+        state."""
+        space = self.space if self.shared_prob is None else MultisetSpace(self.table, self.n_agents)
+        ids = space.all_ids()
+        res = self._resistances(ids)
+        # Free moves grow one agent at a time: each partial move is extended by every
+        # language that agent can adopt at no cost. Agent orders that reach one partial
+        # multiset are merged, by a sort (numpy 2's np.unique hashes int64 keys, which is
+        # far slower at these sizes), and once more with a self-loop at every state,
+        # which changes no reachability and gives every state an edge in each direction.
+        srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
+        for i in range(self.n_agents):
+            if i > 1:
+                pairs = np.sort(srcs * space.size + dsts)
+                srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
+            edge, lid = np.nonzero(res[srcs, i] == 0)
+            srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
+        states = np.arange(space.size)
+        pairs = np.sort(np.append(srcs * space.size + dsts, states * (space.size + 1)))
+        srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
+        free = np.searchsorted(srcs, states), dsts
+        order = np.argsort(dsts, kind="stable")
+        back = np.searchsorted(dsts[order], states), srcs[order]
+        low = _settle(free, states, np.minimum)
+        high = _settle(free, low, np.maximum)
+        roots = np.where((low == states) & (high == states), states, -1)
+        label = _settle(back, roots, np.maximum)
+        closed = np.flatnonzero(label >= 0)
+        closed = closed[np.argsort(label[closed], kind="stable")]
+        cuts = np.flatnonzero(np.diff(label[closed])) + 1
+        classes = [cls.tolist() for cls in np.split(closed, cuts)]
+        heads = ids[[cls[0] for cls in classes]]
+        homogeneous = all(len(cls) == 1 for cls in classes) and (heads.T == heads[:, 0]).all()
+        lang_ids = heads[:, 0].tolist() if homogeneous else None
+        codes = _codes(ids, self.table.size)
+        return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, free
 
     def recurrent_classes(self) -> list[list[int]]:
         """Closed communication classes of the unperturbed (eps=0) chain."""
@@ -512,16 +525,6 @@ class ResistanceGraph:
         return len(self.classes)
 
 
-@dataclass
-class StochasticPotentialResult:
-    gamma: np.ndarray
-    minimizers: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        lowest = self.gamma.min()
-        self.minimizers = [int(i) for i in np.flatnonzero(self.gamma == lowest)]
-
-
 def min_in_arborescence(weights: np.ndarray, root: int) -> float:
     """Weight of the cheapest spanning tree with a directed path from every node into root.
 
@@ -571,10 +574,9 @@ def min_in_arborescence(weights: np.ndarray, root: int) -> float:
         root = order.index(root)
 
 
-def stochastic_potential(rg: ResistanceGraph) -> StochasticPotentialResult:
-    """Per-class minimum arborescence weight and the set of minimizers."""
-    return StochasticPotentialResult(
-        gamma=np.array([min_in_arborescence(rg.r, root) for root in range(rg.n_classes)]))
+def stochastic_potential(rg: ResistanceGraph) -> np.ndarray:
+    """Per-class stochastic potential: the minimum arborescence weight into each class."""
+    return np.array([min_in_arborescence(rg.r, root) for root in range(rg.n_classes)])
 
 
 # -- stability verification -------------------------------------------------------
@@ -598,7 +600,7 @@ class VerifyReport:
     notes: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def optimal_state_indices(space: StateSpace) -> np.ndarray:
@@ -651,11 +653,11 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
     sweep = sweep_stationary(model, epsilons) if epsilons else []
 
     rg = model.least_resistance()
-    sp = stochastic_potential(rg)
+    gamma = stochastic_potential(rg)
     homogeneous = rg.lang_ids is not None
     labels = rg.lang_ids if homogeneous else [min(cls) for cls in rg.classes]
 
-    stable = sorted(labels[i] for i in sp.minimizers)
+    stable = sorted(labels[i] for i in np.flatnonzero(gamma == gamma.min()))
     optimal = sorted(int(x) for x in table.aligned_ids) if homogeneous else []
 
     notes, verdict = [], "pass" if homogeneous and set(stable) == set(optimal) else "fail"
@@ -684,12 +686,12 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
             "neighbor_prob": None if imitation else prob,
             "epsilons": [float(e) for e in epsilons],
         },
-        state_count=table.size**N,
+        state_count=space_size(table.size, N, multisets=False, capped=False),
         classes=[int(x) for x in labels],
         class_states=[list(map(int, cls)) for cls in rg.classes],
         classes_homogeneous=homogeneous,
         resistances=resistances,
-        gamma={str(labels[i]): int(sp.gamma[i]) for i in range(rg.n_classes)},
+        gamma={str(labels[i]): int(gamma[i]) for i in range(rg.n_classes)},
         stable_set=[int(x) for x in stable],
         optimal_set=[int(x) for x in optimal],
         epsilon_sweep=sweep,

@@ -13,8 +13,8 @@ identity, package version); a failed run removes the directories it made while e
 
 Exit codes: 0 success (verification passed or not applicable), 1 usage
 error, 2 verification failure, 3 enumeration cap exceeded: more than 8,192
-languages, a space to enumerate above ``chain.MAX_STATES`` states (K^N labelled,
-or C(K+N-1, N) multisets), or a dense kernel too large for physical memory.
+languages, a space to enumerate above ``chain.MAX_STATES`` states, or a dense
+kernel too large for physical memory.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import _capped, make_chain, sweep_stationary, verify_stability
+from .chain import make_chain, space_size, sweep_stationary, verify_stability
 from .dynamics import ImitationParams, LocalParams, random_profile_ids, run
 from .errors import CapExceededError
 from .languages import get_table
@@ -292,14 +291,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _chain(cfg: RunConfig, labelled: bool):
-    """The chain of a verify or sweep run. The space it will enumerate, K^N labelled
-    states or C(K+N-1, N) multisets, is checked against the cap first: the per-agent
-    probabilities of a large N would take minutes to build."""
-    table, N = get_table(cfg.m, cfg.n), max(cfg.N, 0)  # the parameters refuse N < 2
-    if labelled:
-        _capped(table.size**N, "the labelled state space")
-    else:
-        _capped(math.comb(table.size + N - 1, N), "the multiset space")
+    """The chain of a verify or sweep run. The space it will enumerate, labelled states
+    or multisets, is checked against the cap first: the per-agent probabilities of a
+    large N would take minutes to build."""
+    table = get_table(cfg.m, cfg.n)
+    space_size(table.size, max(cfg.N, 0), multisets=not labelled)  # the parameters refuse N < 2
     return make_chain(table, _make_params(cfg))
 
 

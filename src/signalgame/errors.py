@@ -2,8 +2,8 @@
 
 
 class CapExceededError(RuntimeError):
-    """An instance is too large for exact enumeration under the configured cap."""
+    """An instance is too large to enumerate exactly: above a fixed cap, or physical memory."""
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance within the iteration cap."""
+    """The direct stationary solve failed: a reducible kernel, or a residual above tolerance."""

@@ -41,14 +41,14 @@ class LanguageTable:
     def __init__(self, m: int, n: int):
         if m < 2 or n < 2:
             raise ValueError(f"need m >= 2 and n >= 2, got ({m}, {n})")
-        count = language_count(m, n)
-        if count > MAX_LANGUAGES:
+        # m^n n^m >= 2^max(m, n), so a side of the cap's bit length is refused uncounted
+        if max(m, n) >= MAX_LANGUAGES.bit_length() or language_count(m, n) > MAX_LANGUAGES:
             # not the count itself: str() refuses an int of more than 4,300 digits
             raise CapExceededError(f"(m, n) = ({m}, {n}) has more languages than the cap of "
                                    f"{MAX_LANGUAGES}; too large to tabulate")
         self.m = m
         self.n = n
-        self.size = count
+        self.size = count = language_count(m, n)
         hear_radix = m**n
         ids = np.arange(count)
         speak_index = ids // hear_radix

@@ -77,11 +77,11 @@ def test_stochastic_potential_matches_exhaustive_enumeration():
         n = int(rng.integers(2, 5))
         r = rng.integers(1, 9, size=(n, n)).astype(float)
         np.fill_diagonal(r, 0.0)
-        result = stochastic_potential(ResistanceGraph(classes=[[i] for i in range(n)], r=r))
+        gamma = stochastic_potential(ResistanceGraph(classes=[[i] for i in range(n)], r=r))
         weights = r.copy()
         np.fill_diagonal(weights, np.inf)
         for root in range(n):
-            assert result.gamma[root] == brute_force_min(weights, root)
+            assert gamma[root] == brute_force_min(weights, root)
 
 
 @pytest.mark.parametrize("trial", range(16))

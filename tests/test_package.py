@@ -3,6 +3,8 @@ size, before any per-agent work."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import signalgame
@@ -38,4 +40,17 @@ def test_state_cap_checked_before_the_parameters(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "_make_params", make_params)
     argv = [command, "--dynamic", dynamic, "--N", "100000", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 3
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--N", "100000000"],
+    ["replicator", "--m", "300000", "--n", "300000"],
+], ids=["sweep-labelled", "replicator-languages"])
+def test_cap_refuses_in_constant_time(tmp_path, capsys, argv):
+    """Forming 16^(10^8), or 300000^300000 twice, alone takes seconds; the caps stop
+    at the first partial count above them."""
+    start = time.perf_counter()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 0.5
     assert "cap" in capsys.readouterr().err
