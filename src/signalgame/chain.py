@@ -28,12 +28,12 @@ otherwise. The results are exact for the lumped chain, whose resistances are
 minima over each orbit; a multiset class is listed by its sorted representatives.
 Both dynamics rest only in homogeneous states, each of them one labelled state.
 
-Stationary solves use a blocked Grassmann-Taksar-Heyman elimination:
-subtraction-free, so componentwise accurate even when the spectral gap is
-tiny. Each block eliminates its own rows, folds its coupling panel in a
-contiguous copy, and updates the leading quadrant by a matrix product in
-row chunks. The layout is chosen for memory access only: every entry gets
-the same IEEE operations in the same order, so the result is fixed bit for bit.
+Stationary solves use a blocked Grassmann-Taksar-Heyman elimination in place:
+subtraction-free, so componentwise accurate even when the spectral gap is tiny.
+Each block eliminates its own rows, folds its coupling panel in a contiguous
+copy, and updates the leading quadrant by a matrix product in row chunks, all in
+one reused scratch buffer. The layout is chosen for memory access only: every
+entry gets the same IEEE operations in the same order, so the result is fixed bit for bit.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ MAX_STATES = 100_000
 
 _INF = float("inf")
 # Entries of one row block of the resistance matrix in the least-resistance search,
-# and of one chunk of the GTH trailing product.
+# of one chunk of the GTH trailing product, and of one block of rebuilt kernel rows.
 _BLOCK_ENTRIES = 1 << 21
+_GTH_BLOCK = 160  # states per block of the GTH elimination
 
 
 def _physical_memory() -> int:
@@ -254,12 +255,13 @@ class _ChainModel:
 
     def kernel(self, eps: float) -> np.ndarray:
         """Dense one-step transition matrix at a fixed epsilon. Raises CapExceededError
-        before allocating if it and the GTH working copy, 2 * V**2 * 8 bytes, exceed
-        physical memory. The solver adds O(V * block) bytes and one product chunk of
-        _BLOCK_ENTRIES doubles, as V is a multiple of 8 for every K**N that fits."""
-        if 2 * self.space.size**2 * 8 > _physical_memory():
-            raise CapExceededError(f"a dense kernel on {self.space.size} states and its GTH "
-                                   "working copy would not fit in physical memory")
+        before allocating if what a sweep holds exceeds physical memory: the kernel, which
+        GTH eliminates in place, and its scratch buffer, together V**2 + max(2 * _GTH_BLOCK
+        * V, min(V**2, _BLOCK_ENTRIES)) doubles, as V is a multiple of 8 wherever it fits."""
+        V = self.space.size
+        if (V * V + max(2 * _GTH_BLOCK * V, min(V * V, _BLOCK_ENTRIES))) * 8 > _physical_memory():
+            raise CapExceededError(f"a dense kernel on {V} states and the GTH solver's "
+                                   "scratch buffer would not fit in physical memory")
         return _outer(self.per_agent_dists(self.space.all_ids(), eps), np.multiply)
 
     def resistance_matrix(self) -> np.ndarray:
@@ -433,8 +435,8 @@ def make_chain(table: LanguageTable, params: ImitationParams | LocalParams) -> _
 # -- stationary distributions -------------------------------------------------
 
 
-def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
-    """Stationary vector by blocked GTH state elimination.
+def _gth_stationary(A: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
+    """Stationary vector by blocked GTH state elimination, overwriting the float64 kernel A.
 
     Censoring state e folds the two-leg paths i -> e -> j into the remaining
     chain: the incoming column is scaled by the expected-visits factor 1/s
@@ -454,12 +456,19 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     only when it is a multiple of 8. Only additions, multiplications and
     divisions of nonnegative numbers occur, so entries keep componentwise
     relative accuracy regardless of the spectral gap.
+
+    Every other array is a view of one scratch buffer, allocated once at the size of
+    the largest phase: the panel beside its rank-1 folds, or one product chunk.
     """
-    A = np.array(kernel, dtype=np.float64)
     n = A.shape[0]
-    hi = n
-    while hi > 1:
-        lo = max(1, hi - block)
+    los = [max(1, lo) for lo in range(n - block, 1 - block, -block)]
+    chunks = [min(lo, max(8, _BLOCK_ENTRIES // lo // 8 * 8) if lo % 8 == 0 else lo) for lo in los]
+    scratch = np.empty(max([2 * min(block, n - 1) * n] + [r * lo for r, lo in zip(chunks, los)]))
+
+    def buf(rows: int, cols: int) -> np.ndarray:
+        return scratch[:rows * cols].reshape(rows, cols)
+
+    for hi, lo, rows in zip([n] + los, los, chunks):
         b = hi - lo
         s = np.empty(b)
         for t in range(b - 1, -1, -1):
@@ -470,17 +479,16 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
                     "kernel is reducible (an eliminated state cannot reach lower states)"
                 )
             A[lo:e, e] /= s[t]
-            A[lo:e, :e] += A[lo:e, e, None] * A[e, None, :e]
-        P = A[:lo, lo:hi].T.copy()
+            A[lo:e, :e] += np.multiply(A[lo:e, e, None], A[e, None, :e], out=buf(t, e))
+        P = scratch[scratch.size - b * lo:].reshape(b, lo)
+        P[:] = A[:lo, lo:hi].T
         for t in range(b - 1, -1, -1):
             P[t] /= s[t]
-            P[:t] += A[lo + t, lo:lo + t, None] * P[t, None, :]
+            P[:t] += np.multiply(A[lo + t, lo:lo + t, None], P[t, None, :], out=buf(t, lo))
         A[:lo, lo:hi] = P.T
         T, U, V = A[:lo, :lo], A[:lo, lo:hi], A[lo:hi, :lo]
-        rows = max(8, _BLOCK_ENTRIES // lo // 8 * 8) if lo % 8 == 0 else lo
         for r in range(0, lo, rows):
-            T[r:r + rows] += U[r:r + rows] @ V
-        hi = lo
+            T[r:r + rows] += np.matmul(U[r:r + rows], V, out=buf(min(rows, lo - r), lo))
     mu = np.empty(n)
     mu[0] = 1.0
     for j in range(1, n):
@@ -488,18 +496,22 @@ def _gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
     return mu / mu.sum()
 
 
-def stationary(kernel: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of an irreducible aperiodic kernel.
-
-    A direct GTH elimination, exact to roundoff regardless of the spectral
-    gap; the result is residual-checked and raises ConvergenceError when the
-    L1 residual exceeds 1e-9.
-    """
-    mu = _gth_stationary(kernel)
-    residual = float(np.abs(mu @ kernel - mu).sum())
+def _checked(mu: np.ndarray, image: np.ndarray) -> np.ndarray:
+    residual = float(np.abs(image - mu).sum())
     if residual > 1e-9:
         raise ConvergenceError(f"stationary residual {residual} above tolerance")
     return mu
+
+
+def stationary(kernel: np.ndarray) -> np.ndarray:
+    """Unique stationary distribution of an irreducible aperiodic kernel.
+
+    A direct GTH elimination on a copy of the kernel, exact to roundoff regardless
+    of the spectral gap; the result is residual-checked and raises ConvergenceError
+    when the L1 residual exceeds 1e-9.
+    """
+    mu = _gth_stationary(np.array(kernel, dtype=np.float64))
+    return _checked(mu, mu @ kernel)
 
 
 # -- resistance graph and stochastic potential ---------------------------------
@@ -612,15 +624,18 @@ def optimal_state_indices(space: StateSpace) -> np.ndarray:
 def sweep_stationary(model: _ChainModel, epsilons) -> list[dict]:
     """Exact stationary solve per epsilon with mass bookkeeping on optimal states.
 
-    Every epsilon is validated before the first kernel is built.
+    Every epsilon is validated before the first kernel is built, and GTH overwrites each.
     """
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"sweep epsilons must lie in (0, 1), got {eps}")
     optimal = optimal_state_indices(model.space)
-    rows = []
+    ids, k, rows = model.space.all_ids(), max(1, _BLOCK_ENTRIES // model.space.size), []
     for eps in epsilons:
-        mu = stationary(model.kernel(eps))
+        # The residual of stationary(), on the kernel's rows rebuilt k at a time.
+        mu = _gth_stationary(model.kernel(eps))
+        _checked(mu, sum(mu[r:r + k] @ _outer(model.per_agent_dists(ids[r:r + k], eps), np.multiply)
+                         for r in range(0, len(ids), k)))
         top = int(mu.argmax())
         rows.append(
             {

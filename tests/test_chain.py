@@ -665,7 +665,7 @@ class TestLeastResistance:
 class TestKernelMemoryCheck:
     def test_refuses_a_kernel_above_physical_memory(self, table22, monkeypatch):
         chain = ImitationChain(table22, ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3))
-        need = 2 * 256**2 * 8
+        need = (256**2 + max(2 * 160 * 256, min(256**2, 1 << 21))) * 8
         monkeypatch.setattr(chain_module, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapExceededError, match="physical memory"):
             chain.kernel(0.1)
@@ -721,19 +721,20 @@ class TestStationary:
                                          (2048, 160), (2052, 160)])
     def test_matches_reference_bitwise(self, n, block):
         kernel = random_kernel(n, n)
-        assert np.array_equal(_gth_stationary(kernel, block), reference_gth_stationary(kernel, block))
+        assert np.array_equal(_gth_stationary(kernel.copy(), block),
+                              reference_gth_stationary(kernel, block))
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_matches_reference_bitwise_222(self, table22, dynamic):
         params = (ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3) if dynamic == "imitation"
                   else LocalParams.uniform(epsilon=0.1, N=2, p=0.5))
         kernel = make_chain(table22, params).kernel(0.1)
-        assert np.array_equal(_gth_stationary(kernel), reference_gth_stationary(kernel))
+        assert np.array_equal(_gth_stationary(kernel.copy()), reference_gth_stationary(kernel))
 
     def test_matches_reference_bitwise_223_tied_row(self, imitation223):
         # The sweep row whose top state breaks an exact tie between 1365 and 2730 by roundoff.
         kernel = imitation223.kernel(0.003)
-        mu = _gth_stationary(kernel)
+        mu = _gth_stationary(kernel.copy())
         assert np.array_equal(mu, reference_gth_stationary(kernel))
         assert mu.argmax() == 2730
 
@@ -758,6 +759,12 @@ class TestStationary:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 8
+
+    def test_leaves_its_argument_unchanged(self):
+        kernel = random_kernel(700, 5)
+        before = kernel.copy()
+        stationary(kernel)
+        assert kernel.tobytes() == before.tobytes()
 
     def test_two_state_symmetric(self):
         kernel = np.array([[0.8, 0.2], [0.2, 0.8]])
@@ -884,6 +891,43 @@ class TestVerify:
     def test_sweep_rejects_zero_epsilon(self, imitation223):
         with pytest.raises(ValueError):
             sweep_stationary(imitation223, [0.0])
+
+    def test_sweep_row_peak_memory_stays_below_one_and_a_quarter_kernels(self, imitation223):
+        # GTH eliminates the kernel itself, beside one scratch buffer; a working copy
+        # of the kernel would take the peak to about 2 kernels.
+        imitation223.space  # built before tracing starts, as every sweep row shares it
+        tracemalloc.start()
+        try:
+            sweep_stationary(imitation223, [0.1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 4096**2 * 8
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_sweep_row_matches_stationary_bitwise(self, table22, dynamic):
+        params = (ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3) if dynamic == "imitation"
+                  else LocalParams.uniform(epsilon=0.1, N=2, p=0.5))
+        model = make_chain(table22, params)
+        mu = stationary(model.kernel(0.1))
+        (row,) = sweep_stationary(model, [0.1])
+        assert row["optimal_masses"] == mu[optimal_state_indices(model.space)].tolist()
+        assert row["top_state_mass"] == mu.max()
+
+    def test_sweep_residual_is_checked_on_the_kernel(self, table22, monkeypatch):
+        # The solver overwrites the kernel, so the residual needs its rows rebuilt; a
+        # vector off the stationary one by 1e-6 of mass must still be refused.
+        def perturbed(kernel):
+            mu = solve(kernel)
+            mu[mu.argmax()] -= 1e-6
+            mu[mu.argmin()] += 1e-6
+            return mu
+
+        solve = chain_module._gth_stationary
+        monkeypatch.setattr(chain_module, "_gth_stationary", perturbed)
+        model = ImitationChain(table22, ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3))
+        with pytest.raises(ConvergenceError, match="residual"):
+            sweep_stationary(model, [0.1])
 
     def test_sweep_validates_before_the_first_kernel(self, imitation223, monkeypatch):
         def kernel(eps):
