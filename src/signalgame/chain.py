@@ -55,8 +55,9 @@ from .languages import LanguageTable
 MAX_STATES = 100_000
 
 _INF = float("inf")
-# Entries of one row block of the resistance matrix in the least-resistance search,
-# of one chunk of the GTH trailing product, and of one block of rebuilt kernel rows.
+# Entries of one row block of the resistance matrix in the least-resistance search (its
+# temporaries are (V, B) uint8 fold stages and one float32 threshold mask), of one chunk
+# of the GTH trailing product, and of one block of rebuilt kernel rows.
 _BLOCK_ENTRIES = 1 << 21
 _GTH_BLOCK = 160  # states per block of the GTH elimination
 
@@ -113,24 +114,25 @@ def _codes(ids: np.ndarray, K: int) -> np.ndarray:
 class MultisetSpace:
     """Multisets of N languages: row v is the sorted representative of multiset v,
     in lexicographic order (C(K+N-1, N) rows).
-    ``_insert[i][t, l]`` is the multiset of i + 1 languages that adds l to t."""
+    ``_insert[i][t, l]`` is the multiset of i + 1 languages that adds l to t.
+    ``_drop[i - 1][p]`` and ``_lang[i - 1][p]`` give, for every multiset t of i + 1
+    languages, where t without t[p] sits among the multisets of i languages, and t[p]."""
 
     def __init__(self, table, n_agents: int):
         self.table, self.n_agents, K = table, n_agents, table.size
         space_size(K, n_agents, multisets=True)
         rows = np.arange(K)[:, None]
-        self._insert, self._gather = [rows.T], []
+        self._insert, self._drop, self._lang = [rows.T], [], []
         for i in range(1, n_agents):
             prev = _codes(rows, K)
             grown = np.column_stack([np.repeat(rows, K, axis=0), np.tile(np.arange(K), len(rows))])
             rows = np.array(list(itertools.combinations_with_replacement(range(K), i + 1)))
             insert = np.searchsorted(_codes(rows, K), _codes(np.sort(grown), K))
             self._insert.append(insert.reshape(-1, K))
-            # Multiset t of i + 1 languages comes from (t without t[p], t[p]) for every
-            # position p; a repeated language repeats its preimage.
-            self._gather.append(np.column_stack([
-                np.searchsorted(prev, _codes(np.delete(rows, p, axis=1), K)) * K + rows[:, p]
-                for p in range(i + 1)]))
+            # A repeated language gives one preimage twice, which the fold's minimum absorbs.
+            self._drop.append([np.searchsorted(prev, _codes(np.delete(rows, p, axis=1), K))
+                               for p in range(i + 1)])
+            self._lang.append(list(rows.T.copy()))
         self.rows, self.size = rows, len(rows)
 
     def all_ids(self) -> np.ndarray:
@@ -142,12 +144,16 @@ class MultisetSpace:
 
     def expand(self, costs: np.ndarray) -> np.ndarray:
         """(B, size) joint costs from (B, N, K) per-agent costs, each the least over
-        the assignments of the multiset's languages to agents, folded agent by agent."""
-        joint = costs[:, 0]
-        for i, gather in enumerate(self._gather, 1):
-            joint = (joint[:, :, None] + costs[:, i, None, :]).reshape(len(costs), -1)
-            joint = joint[:, gather].min(axis=2)
-        return joint
+        the assignments of the multiset's languages to agents, folded agent by agent.
+        Each stage holds (multisets, B) rows, so every fold copies whole rows."""
+        agents = np.ascontiguousarray(costs.transpose(1, 2, 0))
+        joint = agents[0]
+        for drops, langs, agent in zip(self._drop, self._lang, agents[1:]):
+            folded = joint.take(drops[0], axis=0) + agent.take(langs[0], axis=0)
+            for drop, lang in zip(drops[1:], langs[1:]):
+                np.minimum(folded, joint.take(drop, axis=0) + agent.take(lang, axis=0), out=folded)
+            joint = folded
+        return joint.T
 
 
 def _outer(factors: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -324,10 +330,10 @@ class _ChainModel:
         All classes are searched at once, one integer level at a time: a state
         is at distance L from a class when a move of resistance c <= min(L, N)
         leads to a state at distance <= L - c, or a zero-resistance path leads
-        to such a state. Each level takes one boolean matrix product per c over
-        row blocks of the resistance matrix, which is held whole only when it
-        fits one block. No move costs more than N, so the search stops after N
-        levels in a row that add no state.
+        to such a state. Each level takes one matrix product per c (a float32 mask of
+        the entries <= c against the states within L - c) over row blocks of the
+        resistance matrix, held whole only when it fits one block, else folded anew.
+        No move costs more than N, so the search stops after N levels in a row that add no state.
         """
         labelled = self.recurrent_classes()
         space, classes, _, lang_ids, res, free = self._search

@@ -262,12 +262,14 @@ class Trajectory:
         pairs = N * (N - 1)
         census = ",".join(f"count_{lid}" for lid in self.aligned_ids)
         lines = [f"t,frac_aligned,avg_fitness,majority_lang_id,{census}"]
+        last = None  # consecutive records of one profile share their fields: format once
         for rec in self.records:
-            counts = ",".join(map(str, rec.aligned_counts))
-            lines.append(
-                f"{rec.t},{rec.n_aligned / N!r},{rec.fitness_total / pairs!r},"
-                f"{rec.majority_id},{counts}"
-            )
+            key = (rec.n_aligned, rec.fitness_total, rec.majority_id, rec.aligned_counts)
+            if key != last:
+                counts = ",".join(map(str, rec.aligned_counts))
+                last, tail = key, (f"{rec.n_aligned / N!r},{rec.fitness_total / pairs!r},"
+                                   f"{rec.majority_id},{counts}")
+            lines.append(f"{rec.t},{tail}")
         return "\n".join(lines) + "\n"
 
 

@@ -150,18 +150,34 @@ class TestMultisetSpace:
         assert (np.diff(rows, axis=1) >= 0).all()
         assert np.array_equal(np.unique(rows, axis=0), rows)  # unique, lexicographic
 
-    @pytest.mark.parametrize("N", [3, 4])
-    def test_fold_is_the_orbit_minimum(self, N):
-        K = 4
+    @staticmethod
+    def _check_fold(N, costs):
+        # against the brute force: each multiset's least cost over its labelled orbit
+        K = costs.shape[2]
         space = MultisetSpace(SimpleNamespace(size=K), N)
-        costs = np.random.default_rng(N).integers(0, 9, size=(20, N, K))
-        joint = _outer(costs, np.add)
+        joint = _outer(costs.astype(np.int64), np.add)
         index = {tuple(row): v for v, row in enumerate(space.all_ids().tolist())}
-        expected = np.full((20, space.size), np.iinfo(np.int64).max)
+        expected = np.full((len(costs), space.size), np.iinfo(np.int64).max)
         for w, ids in enumerate(StateSpace(SimpleNamespace(size=K), N).all_ids()):
             v = index[tuple(sorted(ids.tolist()))]
             expected[:, v] = np.minimum(expected[:, v], joint[:, w])
-        assert np.array_equal(space.expand(costs), expected)
+        folded = space.expand(costs)
+        assert folded.dtype == costs.dtype
+        assert np.array_equal(folded, expected)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_fold_is_the_orbit_minimum(self, N):
+        self._check_fold(N, np.random.default_rng(N).integers(0, 9, size=(20, N, 4)))
+
+    @pytest.mark.parametrize("batch", [1, 20])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_fold_of_search_costs_is_the_orbit_minimum(self, N, batch):
+        # What the search passes: the least unsigned type that holds N(N + 1), costs
+        # 0..N per move and N + 1 for an impossible one. N = 2 folds a single stage.
+        dtype = np.min_scalar_type(N * (N + 1))
+        costs = np.random.default_rng(N * batch).integers(0, N + 2, size=(batch, N, 4)).astype(dtype)
+        costs[0, N - 1, 0] = N + 1
+        self._check_fold(N, costs)
 
 
 class TestTransitionRows:
@@ -556,6 +572,27 @@ class TestLeastResistance:
                  LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
         assert chain.recurrent_classes() == [[lid * (1 + 16 + 256)] for lid in range(16)]
         assert chain.least_resistance().lang_ids == list(range(16))
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_row_blocked_search(self, table22, monkeypatch, dynamic):
+        # Blocks of 100 of the 816 multisets at (2,2,3): the resistance matrix is never
+        # held whole, every level folds each block of open rows again, and the last
+        # block of each level is ragged.
+        def make():
+            return (imitation_chain(2, 2, 3) if dynamic == "imitation" else
+                    LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
+
+        whole = make().least_resistance()
+        batches, expand = [], MultisetSpace.expand
+        monkeypatch.setattr(MultisetSpace, "expand",
+                            lambda space, costs: batches.append(len(costs)) or expand(space, costs))
+        monkeypatch.setattr(chain_module, "_BLOCK_ENTRIES", 100 * 816 + 7)
+        chain = make()
+        rg = chain.least_resistance()
+        assert max(batches) == 100 and any(b % 100 for b in batches)
+        assert rg.classes == whole.classes
+        assert np.array_equal(rg.r, whole.r)
+        assert_matches_oracle(chain)
 
     def _check_raise_the_minimum(self, chain):
         # Levels 1 and 2 add no state, class 0 is 9 levels from class 3, and

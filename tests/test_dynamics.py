@@ -223,6 +223,17 @@ class TestMetrics:
         assert Fraction(rec.n_aligned, traj.n_agents) == Fraction(3, 5)
         assert traj.to_csv().splitlines()[1].split(",")[1] == "0.6"
 
+    def test_csv_line_follows_every_field(self):
+        # Hand-built records of one profile: a line tail is shared only while every
+        # field after t agrees.
+        traj = Trajectory(2, (5, 10))
+        fields = [(1, 4, 5, (1, 1)), (1, 4, 5, (1, 1)), (1, 4, 10, (1, 1)),
+                  (1, 2, 10, (1, 1)), (2, 2, 10, (1, 1)), (2, 2, 10, (2, 0))]
+        traj.records = [TrajectoryRecord(t, (5, 10), *f) for t, f in enumerate(fields)]
+        assert traj.to_csv().splitlines()[1:] == [
+            "0,0.5,2.0,5,1,1", "1,0.5,2.0,5,1,1", "2,0.5,2.0,10,1,1",
+            "3,0.5,1.0,10,1,1", "4,1.0,1.0,10,1,1", "5,1.0,1.0,10,2,0"]
+
     def test_census_domain(self):
         ident = Language(3, 3, (0, 1, 2), (0, 1, 2))
         traj, rec = _initial_record(Profile((ident,) * 4))
