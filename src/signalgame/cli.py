@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .chain import make_chain, space_size, sweep_stationary, verify_stability
-from .dynamics import ImitationParams, LocalParams, random_profile_ids, run
+from .dynamics import CsvRows, ImitationParams, LocalParams, check_steps, random_profile_ids, run
 from .errors import CapExceededError
 from .languages import get_table
 from .replicator import SUBOPTIMAL_REST_X0, integrate, payoff_matrix
@@ -256,35 +256,45 @@ def _make_params(cfg: RunConfig, rng: np.random.Generator | None = None):
     raise ValueError(f"unknown dynamic {cfg.dynamic!r}")
 
 
+class _SeedStream(CsvRows):
+    """One seed's sink: rows and --snapshots lines to disk, summary sums left to right."""
+
+    def __init__(self, csv, snapshots, cfg: RunConfig, aligned_ids):
+        super().__init__(csv.write, cfg.N, aligned_ids)
+        self.snapshots, self.tail_start = snapshots, cfg.horizon // 2
+        self.tail_sum, self.tail_n = 0.0, 0
+
+    def append(self, rec) -> None:
+        super().append(rec)
+        if self.snapshots:
+            self.snapshots.write(json.dumps({"t": rec.t, "ids": list(rec.ids)}) + "\n")
+        if rec.t >= self.tail_start:
+            self.tail_sum += rec.n_aligned / self.N
+            self.tail_n += 1
+        self.terminal = rec
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+    check_steps(cfg.horizon, cfg.record_every)  # refused before any output file is opened
     table = get_table(cfg.m, cfg.n)
-    tail_start = cfg.horizon // 2
-    per_seed = []
+    per_seed, total = [], 0.0
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         params = _make_params(cfg, rng)  # fig3 draws its p_ij matrix here
         initial = random_profile_ids(table, cfg.N, rng)
-        traj = run(initial, cfg.dynamic, params, cfg.horizon, cfg.record_every,
-                   rng=rng, table=table)
-        (out_dir / f"traj_seed{seed}.csv").write_text(traj.to_csv())
-        if cfg.snapshots:
-            lines = [json.dumps({"t": rec.t, "ids": list(rec.ids)}) for rec in traj.records]
-            (out_dir / f"profiles_seed{seed}.jsonl").write_text("\n".join(lines) + "\n")
-        tail = [rec.n_aligned / traj.n_agents for rec in traj.records if rec.t >= tail_start]
-        per_seed.append(
-            {
-                "seed": seed,
-                "tail_mean_frac_aligned": sum(tail) / len(tail),
-                "terminal_majority_lang_id": traj.records[-1].majority_id,
-                "terminal_frac_aligned": traj.records[-1].n_aligned / traj.n_agents,
-            }
-        )
-    summary = {
-        "tail_window_start": tail_start,
-        "seeds": per_seed,
-        "mean_tail_frac_aligned": sum(s["tail_mean_frac_aligned"] for s in per_seed)
-        / len(per_seed),
-    }
+        with (open(out_dir / f"traj_seed{seed}.csv", "w") as csv,
+              open(out_dir / f"profiles_seed{seed}.jsonl", "w") if cfg.snapshots
+              else contextlib.nullcontext() as snapshots):
+            sink = _SeedStream(csv, snapshots, cfg, table.aligned_ids)
+            run(initial, cfg.dynamic, params, cfg.horizon, cfg.record_every,
+                rng=rng, table=table, sink=sink)
+        tail_mean = sink.tail_sum / sink.tail_n
+        total += tail_mean
+        per_seed.append({"seed": seed, "tail_mean_frac_aligned": tail_mean,
+                         "terminal_majority_lang_id": sink.terminal.majority_id,
+                         "terminal_frac_aligned": sink.terminal.n_aligned / cfg.N})
+    summary = {"tail_window_start": cfg.horizon // 2, "seeds": per_seed,
+               "mean_tail_frac_aligned": total / len(per_seed)}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -349,14 +359,13 @@ def cmd_replicator(cfg: RunConfig, out_dir: Path) -> int:
     K = len(A)
     x0 = _resolve_x0(cfg.x0, K)
     traj = integrate(x0, A, dt=cfg.dt, steps=cfg.steps, record_every=cfg.record_every)
-    header = "t,W," + ",".join(f"x_{k}" for k in range(K))
-    lines = [header]
     w_path = traj.mean_fitness_path.tolist()
     last = len(w_path) - 1
-    for idx, (t, state) in enumerate(zip(traj.times.tolist(), traj.states)):
-        w = w_path[min(idx * cfg.record_every, last)]
-        lines.append(f"{t!r},{w!r}," + ",".join(map(repr, state.tolist())))
-    (out_dir / "replicator.csv").write_text("\n".join(lines) + "\n")
+    with open(out_dir / "replicator.csv", "w") as csv:
+        csv.write("t,W," + ",".join(f"x_{k}" for k in range(K)) + "\n")
+        for idx, (t, state) in enumerate(zip(traj.times.tolist(), traj.states)):
+            w = w_path[min(idx * cfg.record_every, last)]
+            csv.write(f"{t!r},{w!r}," + ",".join(map(repr, state.tolist())) + "\n")
     print(json.dumps({"terminal_W": float(traj.mean_fitness_path[-1]),
                       "terminal_rhs_inf": traj.terminal_rhs_inf,
                       "max_sum_err": traj.max_sum_err}, sort_keys=True))

@@ -249,28 +249,41 @@ class TrajectoryRecord:
     aligned_counts: tuple[int, ...]
 
 
+class CsvRows:
+    """A record sink: writes the CSV header, then each record's row, through ``write``."""
+
+    def __init__(self, write, n_agents: int, aligned_ids):
+        self.write, self.N, self.rows, self.last = write, n_agents, 0, None
+        census = ",".join(f"count_{lid}" for lid in aligned_ids)
+        write(f"t,frac_aligned,avg_fitness,majority_lang_id,{census}\n")
+
+    def append(self, rec: TrajectoryRecord) -> None:
+        key = (rec.n_aligned, rec.fitness_total, rec.majority_id, rec.aligned_counts)
+        if key != self.last:  # consecutive records of one profile share their fields: format once
+            N, counts = self.N, ",".join(map(str, rec.aligned_counts))
+            frac, fitness = rec.n_aligned / N, rec.fitness_total / (N * (N - 1))
+            self.last, self.tail = key, f"{frac!r},{fitness!r},{rec.majority_id},{counts}\n"
+        self.write(f"{rec.t},{self.tail}")
+        self.rows += 1
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 @dataclass
 class Trajectory:
-    """Time-indexed record of a single seeded run."""
+    """Time-indexed record of a single seeded run; ``records`` is the sink ``run`` filled."""
 
     n_agents: int
     aligned_ids: tuple[int, ...]
     records: list[TrajectoryRecord] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        N = self.n_agents
-        pairs = N * (N - 1)
-        census = ",".join(f"count_{lid}" for lid in self.aligned_ids)
-        lines = [f"t,frac_aligned,avg_fitness,majority_lang_id,{census}"]
-        last = None  # consecutive records of one profile share their fields: format once
+        parts: list[str] = []
+        rows = CsvRows(parts.append, self.n_agents, self.aligned_ids)
         for rec in self.records:
-            key = (rec.n_aligned, rec.fitness_total, rec.majority_id, rec.aligned_counts)
-            if key != last:
-                counts = ",".join(map(str, rec.aligned_counts))
-                last, tail = key, (f"{rec.n_aligned / N!r},{rec.fitness_total / pairs!r},"
-                                   f"{rec.majority_id},{counts}")
-            lines.append(f"{rec.t},{tail}")
-        return "\n".join(lines) + "\n"
+            rows.append(rec)
+        return "".join(parts)
 
 
 def _record_fields(ids: list[int], counts: dict[int, int], lf: dict[int, int],
@@ -288,6 +301,14 @@ def random_profile_ids(table: LanguageTable, N: int, rng: np.random.Generator) -
     return rng.integers(0, table.size, size=N)
 
 
+def check_steps(horizon: int, record_every: int) -> None:
+    """Refuse a negative horizon or a record interval below 1: ``run``'s first check."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+
+
 def run(
     initial: np.ndarray,
     dynamic: str,
@@ -297,17 +318,17 @@ def run(
     rng: np.random.Generator | int | None = None,
     *,
     table: LanguageTable,
+    sink=None,
 ) -> Trajectory:
     """Iterate the chosen step from the id vector ``initial``, recording metrics.
 
-    Records t=0, every ``record_every`` steps and the final step; deterministic
-    given (initial, params, seed). A Generator passed as ``rng`` must use PCG64
-    (``TypeError`` otherwise) and is left where per-draw calls would leave it.
+    Records t=0, every ``record_every`` steps and the final step, each handed to
+    ``sink.append`` as it is made; ``sink`` (a new list by default, or a ``CsvRows``)
+    is the result's ``records``. Deterministic given (initial, params, seed). A
+    Generator passed as ``rng`` must use PCG64 (``TypeError`` otherwise) and is
+    left where per-draw calls would leave it.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    check_steps(horizon, record_every)
     if dynamic == "imitation":
         if not isinstance(params, ImitationParams):
             raise TypeError("imitation dynamics need ImitationParams")
@@ -329,7 +350,7 @@ def run(
     if min(ids) < 0 or max(ids) >= table.size:
         raise ValueError(f"language ids must lie in [0, {table.size})")
 
-    traj = Trajectory(N, tuple(table.aligned_ids.tolist()))
+    traj = Trajectory(N, tuple(table.aligned_ids.tolist()), [] if sink is None else sink)
     # payoff rows as bytes (entries are at most 2 min(m, n)), read on first use
     row = cache(lambda a: table.payoff[a].astype(np.uint8).tobytes())
     counts, lf = _score(ids, row)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from signalgame import chain, cli
 from signalgame.chain import VerifyReport
+from signalgame.dynamics import random_profile_ids, run
+from signalgame.languages import get_table
 
 
 def _perfbench(name: str = "workloads"):
@@ -174,7 +177,8 @@ def test_repeated_seed_or_epsilon(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv,code", [
     (["simulate", "--m", "2", "--n", "2", "--N", "1", "--horizon", "3"], 1),
     (["verify", "--m", "2", "--n", "3", "--N", "4"], 3),
-], ids=["simulate-exit-1", "verify-exit-3"])
+    (["simulate", "--m", "2", "--n", "2", "--N", "3", "--horizon", "-1", "--snapshots"], 1),
+], ids=["simulate-exit-1", "verify-exit-3", "simulate-refused-horizon"])
 def test_failed_run_removes_only_the_directory_it_made(tmp_path, capsys, argv, code):
     # mkdir(parents=True) may make several levels; each goes, up to the first that existed
     assert cli.main(argv + ["--out", str(tmp_path / "made" / "b" / "c")]) == code
@@ -328,6 +332,60 @@ class TestSimulate:
             ref = refs[str(seed)]
             assert sha == {f"traj_seed{seed}.csv": ref["csv_sha256"],
                            "summary.json": ref["summary_sha256"]}
+
+    def test_fig4_tail_means_fold_left_to_right(self, tmp_path, capsys):
+        # Plain left-to-right sums, the same on every Python: from 3.12 on, builtin
+        # sum() compensates its rounding and gives 0.7915083396664133 for seed 0.
+        assert cli.main(["simulate", "--preset", "fig4", "--seed", "0,1,2",
+                         "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        means = [s["tail_mean_frac_aligned"] for s in summary["seeds"]]
+        assert means == [0.7915083396663876, 0.8014479420822908, 0.7815287388504105]
+        assert summary["mean_tail_frac_aligned"] == 0.7914950068663629
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "fig4", "--horizon", "61"],
+        ["--preset", "fig3", "--N", "5", "--horizon", "61"],
+    ], ids=["imitation", "localized"])
+    def test_streamed_outputs_equal_the_in_memory_run(self, tmp_path, capsys, argv):
+        argv = ["simulate", *argv, "--record-every", "3", "--seed", "4,7", "--snapshots"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        table = get_table(cfg.m, cfg.n)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for seed, got in zip(cfg.seeds, summary["seeds"]):
+            rng = np.random.default_rng(seed)
+            params = cli._make_params(cfg, rng)
+            initial = random_profile_ids(table, cfg.N, rng)
+            traj = run(initial, cfg.dynamic, params, cfg.horizon, cfg.record_every,
+                       rng=rng, table=table)
+            assert (tmp_path / f"traj_seed{seed}.csv").read_bytes() == traj.to_csv().encode()
+            snapshots = "".join(json.dumps({"t": rec.t, "ids": list(rec.ids)}) + "\n"
+                                for rec in traj.records)
+            assert (tmp_path / f"profiles_seed{seed}.jsonl").read_text() == snapshots
+            tail = [rec.n_aligned / cfg.N for rec in traj.records if rec.t >= cfg.horizon // 2]
+            fold = 0.0
+            for frac in tail:
+                fold += frac
+            assert got == {"seed": seed, "tail_mean_frac_aligned": fold / len(tail),
+                           "terminal_majority_lang_id": traj.records[-1].majority_id,
+                           "terminal_frac_aligned": traj.records[-1].n_aligned / cfg.N}
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path, capsys):
+        # Rows stream to disk as they are recorded: 10x the steps, the same peak.
+        peaks = {}
+        for horizon in (10, 20000, 200000):  # the first run warms the table caches
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", "--m", "2", "--n", "2", "--N", "2", "--horizon",
+                                 str(horizon), "--out", str(tmp_path / str(horizon))]) == 0
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[200000] <= peaks[20000] + 2**20
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signalgame.dynamics import (
+    CsvRows,
     ImitationParams,
     LocalParams,
     Trajectory,
@@ -497,3 +498,16 @@ class TestMatchesOracle:
             assert traj.to_csv() == _oracle_csv(traj.aligned_ids, oracle)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             assert rng.integers(table.size) == oracle_rng.integers(table.size)
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_csv_sink(self, dynamic):
+        # a CsvRows sink writes the oracle's bytes as run hands it each record
+        table = get_table(3, 3)
+        params = self._params(dynamic, 0)
+        initial = random_profile_ids(table, self.N, np.random.default_rng(0))
+        parts = []
+        sink = CsvRows(parts.append, self.N, tuple(table.aligned_ids.tolist()))
+        traj = run(initial.copy(), dynamic, params, self.HORIZON, 3, rng=0, table=table, sink=sink)
+        assert traj.records is sink and len(sink) == self.HORIZON // 3 + 1
+        oracle = _oracle_run(initial, dynamic, params, self.HORIZON, 3, 0, table)
+        assert "".join(parts) == _oracle_csv(traj.aligned_ids, oracle)
