@@ -66,16 +66,16 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def space_size(K: int, N: int, multisets: bool, capped: bool = True) -> int:
+def space_size(K: int, N: int, multisets: bool) -> int:
     """States of a space of N agents on K languages: C(K+N-1, N) multisets, or K^N
     labelled states. The count is a product of N (or min(N, K-1)) growing factors, so
-    when ``capped`` it raises CapExceededError at the first partial product above
-    MAX_STATES, a few factors in, and never forms the count of a huge N."""
+    it raises CapExceededError at the first partial product above MAX_STATES, a few
+    factors in, and never forms the count of a huge N."""
     a, k = (max(K - 1, N), min(K - 1, N)) if multisets else (0, N)
     size = 1
     for j in range(1, k + 1):
         size = size * (a + j) // j if multisets else size * K
-        if capped and size > MAX_STATES:
+        if size > MAX_STATES:
             what = "multiset space" if multisets else "labelled state space"
             count = size if j == k else f"more than {size}"
             raise CapExceededError(f"the {what} has {count} states, above the cap of {MAX_STATES}")
@@ -441,7 +441,9 @@ def make_chain(table: LanguageTable, params: ImitationParams | LocalParams) -> _
 # -- stationary distributions -------------------------------------------------
 
 
-def _gth_stationary(A: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
+# an underflowed kernel overflows to inf or NaN, which the exit-mass and residual checks refuse
+@np.errstate(over="ignore", invalid="ignore")
+def _gth_stationary(A: np.ndarray) -> np.ndarray:
     """Stationary vector by blocked GTH state elimination, overwriting the float64 kernel A.
 
     Censoring state e folds the two-leg paths i -> e -> j into the remaining
@@ -466,7 +468,7 @@ def _gth_stationary(A: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
     Every other array is a view of one scratch buffer, allocated once at the size of
     the largest phase: the panel beside its rank-1 folds, or one product chunk.
     """
-    n = A.shape[0]
+    n, block = A.shape[0], _GTH_BLOCK
     los = [max(1, lo) for lo in range(n - block, 1 - block, -block)]
     chunks = [min(lo, max(8, _BLOCK_ENTRIES // lo // 8 * 8) if lo % 8 == 0 else lo) for lo in los]
     scratch = np.empty(max([2 * min(block, n - 1) * n] + [r * lo for r, lo in zip(chunks, los)]))
@@ -504,7 +506,7 @@ def _gth_stationary(A: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
 
 def _checked(mu: np.ndarray, image: np.ndarray) -> np.ndarray:
     residual = float(np.abs(image - mu).sum())
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # NaN fails too
         raise ConvergenceError(f"stationary residual {residual} above tolerance")
     return mu
 
@@ -631,17 +633,22 @@ def sweep_stationary(model: _ChainModel, epsilons) -> list[dict]:
     """Exact stationary solve per epsilon with mass bookkeeping on optimal states.
 
     Every epsilon is validated before the first kernel is built, and GTH overwrites each.
+    A failed solve raises ConvergenceError naming its epsilon.
     """
+    epsilons = tuple(epsilons)  # read twice, so a one-shot iterable is materialized
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"sweep epsilons must lie in (0, 1), got {eps}")
     optimal = optimal_state_indices(model.space)
     ids, k, rows = model.space.all_ids(), max(1, _BLOCK_ENTRIES // model.space.size), []
     for eps in epsilons:
-        # The residual of stationary(), on the kernel's rows rebuilt k at a time.
-        mu = _gth_stationary(model.kernel(eps))
-        _checked(mu, sum(mu[r:r + k] @ _outer(model.per_agent_dists(ids[r:r + k], eps), np.multiply)
-                         for r in range(0, len(ids), k)))
+        try:  # the residual of stationary(), on the kernel's rows rebuilt k at a time
+            mu = _gth_stationary(model.kernel(eps))
+            _checked(mu, sum(mu[r:r + k] @ _outer(model.per_agent_dists(ids[r:r + k], eps),
+                                                  np.multiply) for r in range(0, len(ids), k)))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"eps {eps!r}: {exc}; every eps in (0, 1) gives an irreducible "
+                                   "chain, so this one's kernel underflows float64") from None
         top = int(mu.argmax())
         rows.append(
             {
@@ -707,7 +714,7 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
             "neighbor_prob": None if imitation else prob,
             "epsilons": [float(e) for e in epsilons],
         },
-        state_count=space_size(table.size, N, multisets=False, capped=False),
+        state_count=table.size ** N,
         classes=[int(x) for x in labels],
         class_states=[list(map(int, cls)) for cls in rg.classes],
         classes_homogeneous=homogeneous,

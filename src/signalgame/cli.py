@@ -12,7 +12,8 @@ directory, call ``cmd_<command>``, then write metadata.json (the fields read, PR
 identity, package version); a failed run removes the directories it made while empty.
 
 Exit codes: 0 success (verification passed or not applicable), 1 usage
-error, 2 verification failure, 3 enumeration cap exceeded: more than 8,192
+error or a failed numeric solve (an epsilon whose kernel underflows float64),
+2 verification failure, 3 enumeration cap exceeded: more than 8,192
 languages, a space to enumerate above ``chain.MAX_STATES`` states, or a dense
 kernel too large for physical memory.
 """
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from .chain import make_chain, space_size, sweep_stationary, verify_stability
 from .dynamics import CsvRows, ImitationParams, LocalParams, check_steps, random_profile_ids, run
-from .errors import CapExceededError
+from .errors import CapExceededError, ConvergenceError
 from .languages import get_table
 from .replicator import SUBOPTIMAL_REST_X0, integrate, payoff_matrix
 
@@ -262,12 +263,14 @@ class _SeedStream(CsvRows):
     def __init__(self, csv, snapshots, cfg: RunConfig, aligned_ids):
         super().__init__(csv.write, cfg.N, aligned_ids)
         self.snapshots, self.tail_start = snapshots, cfg.horizon // 2
-        self.tail_sum, self.tail_n = 0.0, 0
+        self.tail_sum, self.tail_n, self.ids = 0.0, 0, None
 
     def append(self, rec) -> None:
         super().append(rec)
-        if self.snapshots:
-            self.snapshots.write(json.dumps({"t": rec.t, "ids": list(rec.ids)}) + "\n")
+        if self.snapshots:  # json.dumps({"t": t, "ids": [...]}) bytes, formatted directly
+            if rec.ids is not self.ids:  # the records of one profile share its ids tuple
+                self.ids, self.ids_text = rec.ids, f'"ids": [{", ".join(map(str, rec.ids))}]}}\n'
+            self.snapshots.write(f'{{"t": {rec.t}, {self.ids_text}')
         if rec.t >= self.tail_start:
             self.tail_sum += rec.n_aligned / self.N
             self.tail_n += 1
@@ -396,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
                     "numpy_version": np.__version__, "signalgame_version": __version__}
         (out_dir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True))
         return code
-    except (CapExceededError, ValueError, TypeError, OSError, KeyError) as exc:
+    except (CapExceededError, ConvergenceError, ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         with contextlib.suppress(OSError):  # what this run made goes, leaf first, while empty
             for level in made:

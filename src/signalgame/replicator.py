@@ -38,6 +38,8 @@ SUBOPTIMAL_REST_X0 = (
     0.45495957664682607,
 )
 
+_SIMPLEX_TOL = 1e-9  # how far a step may leave the simplex before renormalization
+
 
 def payoff_matrix(m: int, n: int) -> np.ndarray:
     """Symmetric K x K matrix of two-way communication payoffs, canonical id order.
@@ -73,14 +75,13 @@ def integrate(
     dt: float = 0.01,
     steps: int = 1000,
     record_every: int = 1,
-    simplex_tol: float = 1e-9,
 ) -> ReplicatorTrajectory:
     """Fixed-step RK4 flow of the replicator field from x0.
 
     ``x0`` may be a single state (K,) or a batch (B, K); batches share the
     clock and are integrated in lockstep. States are recorded at t=0, every
     ``record_every`` steps and the final step. Raises if renormalization cannot
-    keep the state within ``simplex_tol`` of the simplex; every check fails on NaN.
+    keep the state within _SIMPLEX_TOL of the simplex; every check fails on NaN.
     """
     if not 0.0 < dt < float("inf"):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -128,10 +129,8 @@ def integrate(
         # max keeps its first argument unless the second compares larger, so a NaN propagates
         max_sum_err = max(sum_err, max_sum_err)
         min_entry = min(min_entry, low)
-        if not (sum_err <= simplex_tol and low >= -simplex_tol):
-            raise ValueError(
-                f"state left the simplex at step {step}; reduce the step size"
-            )
+        if not (sum_err <= _SIMPLEX_TOL and low >= -_SIMPLEX_TOL):
+            raise ValueError(f"state left the simplex at step {step}; reduce the step size")
         X = X / sums[:, None]
         k1, mean = field(X)
         w_path[step] = mean[:, 0]

@@ -756,9 +756,10 @@ class TestStationary:
     # the last bits of about half the masses here.
     @pytest.mark.parametrize("n,block", [(700, 1), (700, 7), (700, 160), (700, 700), (700, 1000),
                                          (2048, 160), (2052, 160)])
-    def test_matches_reference_bitwise(self, n, block):
+    def test_matches_reference_bitwise(self, n, block, monkeypatch):
+        monkeypatch.setattr(chain_module, "_GTH_BLOCK", block)
         kernel = random_kernel(n, n)
-        assert np.array_equal(_gth_stationary(kernel.copy(), block),
+        assert np.array_equal(_gth_stationary(kernel.copy()),
                               reference_gth_stationary(kernel, block))
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
@@ -965,6 +966,31 @@ class TestVerify:
         model = ImitationChain(table22, ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3))
         with pytest.raises(ConvergenceError, match="residual"):
             sweep_stationary(model, [0.1])
+
+    def test_sweep_refuses_a_nan_vector(self, table22, monkeypatch):
+        # An underflowed kernel can leave NaN in the vector; NaN compares false with the
+        # tolerance, so the residual check must refuse it rather than pass it.
+        monkeypatch.setattr(chain_module, "_gth_stationary",
+                            lambda kernel: np.full(len(kernel), np.nan))
+        model = ImitationChain(table22, ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3))
+        with pytest.raises(ConvergenceError, match="residual nan"):
+            sweep_stationary(model, [0.1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_sweep_names_an_underflowing_epsilon(self, table22, dynamic):
+        # Every eps in (0, 1) gives an irreducible chain, but at 1e-320 the kernel's
+        # smallest probabilities underflow float64 and GTH finds no way down.
+        params = (ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3) if dynamic == "imitation"
+                  else LocalParams.uniform(epsilon=0.1, N=2, p=0.5))
+        with pytest.raises(ConvergenceError, match="^eps 1e-320: kernel is reducible .*underflows"):
+            sweep_stationary(make_chain(table22, params), [0.1, 1e-320])
+
+    def test_sweep_reads_a_one_shot_iterable(self, table22):
+        model = ImitationChain(table22, ImitationParams.uniform(epsilon=0.1, d=2, N=2, p=0.3))
+        rows = sweep_stationary(model, (eps for eps in [0.1, 0.05]))
+        assert rows == sweep_stationary(model, [0.1, 0.05])
+        assert [row["eps"] for row in rows] == [0.1, 0.05]
 
     def test_sweep_validates_before_the_first_kernel(self, imitation223, monkeypatch):
         def kernel(eps):

@@ -583,6 +583,21 @@ class TestSweepCommand:
         assert "physical memory" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,eps", [(["sweep"], "1e-320"), (["verify", "--sweep"], "5e-324")],
+                             ids=["sweep", "verify-sweep"])
+    def test_underflowing_epsilon_exit_code(self, tmp_path, capsys, argv, eps):
+        # The stationary solve fails at an epsilon whose kernel underflows float64:
+        # one error line naming it, exit 1, and no directory left behind.
+        code = cli.main([*argv, "--m", "2", "--n", "2", "--N", "2", "--eps-list", eps,
+                         "--out", str(tmp_path / "new" / "run")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: eps {eps}: kernel is reducible")
+        assert list(tmp_path.iterdir()) == []
+
 class TestReplicatorCommand:
     def test_vertex_constant(self, tmp_path, capsys):
         out = tmp_path / "vertex"
