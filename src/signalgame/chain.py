@@ -56,8 +56,8 @@ MAX_STATES = 100_000
 
 _INF = float("inf")
 # Entries of one row block of the resistance matrix in the least-resistance search (its
-# temporaries are (V, B) uint8 fold stages and one float32 threshold mask), of one chunk
-# of the GTH trailing product, and of one block of rebuilt kernel rows.
+# temporaries are (V, B) uint8 fold stages and one float32 threshold mask), and of one
+# chunk of the GTH trailing product.
 _BLOCK_ENTRIES = 1 << 21
 _GTH_BLOCK = 160  # states per block of the GTH elimination
 
@@ -287,15 +287,14 @@ class _ChainModel:
         ids = space.all_ids()
         res = self._resistances(ids)
         # Free moves grow one agent at a time: each partial move is extended by every
-        # language that agent can adopt at no cost. Agent orders that reach one partial
-        # multiset are merged, by a sort (numpy 2's np.unique hashes int64 keys, which is
-        # far slower at these sizes), and once more with a self-loop at every state,
-        # which changes no reachability and gives every state an edge in each direction.
+        # language that agent can adopt at no cost. Before each agent, agent orders that
+        # reach one partial multiset are merged by a sort (numpy 2's np.unique hashes int64
+        # keys, which is far slower at these sizes), and at the end once more with a self-loop
+        # at every state, which changes no reachability and gives every state an edge each way.
         srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
         for i in range(self.n_agents):
-            if i > 1:
-                pairs = np.sort(srcs * space.size + dsts)
-                srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
+            pairs = np.sort(srcs * space.size + dsts)
+            srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
             edge, lid = np.nonzero(res[srcs, i] == 0)
             srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
         states = np.arange(space.size)
@@ -332,7 +331,7 @@ class _ChainModel:
         leads to a state at distance <= L - c, or a zero-resistance path leads
         to such a state. Each level takes one matrix product per c (a float32 mask of
         the entries <= c against the states within L - c) over row blocks of the
-        resistance matrix, held whole only when it fits one block, else folded anew.
+        resistance matrix, each folded anew from the per-agent costs for the rows still open.
         No move costs more than N, so the search stops after N levels in a row that add no state.
         """
         labelled = self.recurrent_classes()
@@ -346,7 +345,6 @@ class _ChainModel:
         for j, cls in enumerate(classes):
             new[cls, j] = True
         rows, level, idle = max(1, _BLOCK_ENTRIES // V), 0, 0
-        whole = space.expand(cost) if rows >= V else None
         while True:
             idle = 0 if new.any() else idle + 1
             # A state that reaches one reached earlier was itself reached earlier.
@@ -357,7 +355,7 @@ class _ChainModel:
             level += 1
             within = [(dist <= level - c).astype(np.float32) for c in range(1, min(level, N) + 1)]
             for at in np.split(open_rows, range(rows, open_rows.size, rows)):
-                block = space.expand(cost[at]) if whole is None else whole[at]
+                block = space.expand(cost[at])
                 for c, target in enumerate(within, 1):
                     new[at] |= (block <= c).astype(np.float32) @ target > 0
             new &= dist == unreached
@@ -639,13 +637,14 @@ def sweep_stationary(model: _ChainModel, epsilons) -> list[dict]:
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"sweep epsilons must lie in (0, 1), got {eps}")
-    optimal = optimal_state_indices(model.space)
-    ids, k, rows = model.space.all_ids(), max(1, _BLOCK_ENTRIES // model.space.size), []
+    optimal, ids, rows = optimal_state_indices(model.space), model.space.all_ids(), []
     for eps in epsilons:
-        try:  # the residual of stationary(), on the kernel's rows rebuilt k at a time
+        try:  # the residual of stationary(): kernel row v is the outer product of the agents'
+            # factors[v, i], so mu @ kernel is mu folded into agent 0, the last agent a matmul
             mu = _gth_stationary(model.kernel(eps))
-            _checked(mu, sum(mu[r:r + k] @ _outer(model.per_agent_dists(ids[r:r + k], eps),
-                                                  np.multiply) for r in range(0, len(ids), k)))
+            factors = model.per_agent_dists(ids, eps)
+            factors[:, 0] *= mu[:, None]
+            _checked(mu, (_outer(factors[:, :-1], np.multiply).T @ factors[:, -1]).ravel())
         except ConvergenceError as exc:
             raise ConvergenceError(f"eps {eps!r}: {exc}; every eps in (0, 1) gives an irreducible "
                                    "chain, so this one's kernel underflows float64") from None

@@ -218,6 +218,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"at least one {key[:-1]} is required")
         if len(set(values)) < len(values):
             raise ValueError(f"{key} must not repeat a value, got {values!r}")
+    if min(cfg.seeds) < 0:  # default_rng refuses them, but only when that seed's turn comes
+        raise ValueError(f"seeds must be non-negative, got {cfg.seeds!r}")
     return cfg
 
 

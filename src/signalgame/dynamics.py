@@ -90,9 +90,9 @@ class ImitationParams:
 class LocalParams:
     """Mutation probability and the N x N neighbour-inclusion matrix.
 
-    Entry (i, j) is the probability that j is observed by i. The diagonal is
-    accepted for interface compatibility but ignored: an agent always belongs
-    to its own comparison set, so neighbourhoods are never empty.
+    Entry (i, j) is the probability that j is observed by i. The diagonal may be
+    any value in [0, 1] and is ignored: an agent always belongs to its own
+    comparison set, so neighbourhoods are never empty.
     """
 
     epsilon: float
@@ -104,11 +104,12 @@ class LocalParams:
         N = len(self.neighbor_probs)
         if N < 2:
             raise ValueError("need at least 2 agents")
-        for row in self.neighbor_probs:
+        for i, row in enumerate(self.neighbor_probs):
             if len(row) != N:
                 raise ValueError("neighbor_probs must be a square matrix")
-            if not all(0.0 < p <= 1.0 for p in row):
-                raise ValueError(f"neighbour probabilities must lie in (0, 1]: {row}")
+            if not all(0.0 < p <= 1.0 or j == i and p == 0.0 for j, p in enumerate(row)):
+                raise ValueError("neighbour probabilities must lie in (0, 1], "
+                                 f"the diagonal in [0, 1]: {row}")
 
     @classmethod
     def uniform(cls, epsilon: float, N: int, p: float) -> LocalParams:

@@ -575,14 +575,14 @@ class TestLeastResistance:
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_row_blocked_search(self, table22, monkeypatch, dynamic):
-        # Blocks of 100 of the 816 multisets at (2,2,3): the resistance matrix is never
-        # held whole, every level folds each block of open rows again, and the last
-        # block of each level is ragged.
+        # Blocks of 100 of the 816 multisets at (2,2,3), which by default fit one block:
+        # every level folds each block of open rows again, and the last block of each
+        # level is ragged.
         def make():
             return (imitation_chain(2, 2, 3) if dynamic == "imitation" else
                     LocalizedChain(table22, LocalParams.uniform(epsilon=0.01, N=3, p=0.5)))
 
-        whole = make().least_resistance()
+        single = make().least_resistance()
         batches, expand = [], MultisetSpace.expand
         monkeypatch.setattr(MultisetSpace, "expand",
                             lambda space, costs: batches.append(len(costs)) or expand(space, costs))
@@ -590,8 +590,8 @@ class TestLeastResistance:
         chain = make()
         rg = chain.least_resistance()
         assert max(batches) == 100 and any(b % 100 for b in batches)
-        assert rg.classes == whole.classes
-        assert np.array_equal(rg.r, whole.r)
+        assert rg.classes == single.classes
+        assert np.array_equal(rg.r, single.r)
         assert_matches_oracle(chain)
 
     def _check_raise_the_minimum(self, chain):
@@ -952,8 +952,27 @@ class TestVerify:
         assert row["optimal_masses"] == mu[optimal_state_indices(model.space)].tolist()
         assert row["top_state_mass"] == mu.max()
 
+    @pytest.mark.parametrize("params", [
+        ImitationParams.uniform(epsilon=0.1, d=2, N=3, p=0.3),
+        LocalParams.uniform(epsilon=0.1, N=3, p=0.5),
+        ImitationParams(0.1, 2, (0.2, 0.7)),
+    ], ids=["imitation-223", "localized-223", "imitation-222-two-probabilities"])
+    def test_sweep_residual_image_is_mu_times_the_kernel(self, table22, monkeypatch, params):
+        # The solver overwrites the kernel, so the residual contracts mu with the per-agent
+        # factors; at N=2 a single agent is folded before the matmul.
+        model = make_chain(table22, params)
+        mu = np.random.default_rng(5).dirichlet(np.ones(model.space.size))
+        seen = []
+        monkeypatch.setattr(chain_module, "_gth_stationary", lambda kernel: mu.copy())
+        monkeypatch.setattr(chain_module, "_checked", lambda *args: seen.append(args) or args[0])
+        sweep_stationary(model, [0.1])
+        ((got, image),) = seen
+        expected = mu @ model.kernel(0.1)
+        assert np.array_equal(got, mu)
+        np.testing.assert_allclose(image, expected, rtol=1e-13, atol=0)
+
     def test_sweep_residual_is_checked_on_the_kernel(self, table22, monkeypatch):
-        # The solver overwrites the kernel, so the residual needs its rows rebuilt; a
+        # The solver overwrites the kernel, so the residual is formed from the factors; a
         # vector off the stationary one by 1e-6 of mass must still be refused.
         def perturbed(kernel):
             mu = solve(kernel)

@@ -178,7 +178,9 @@ def test_repeated_seed_or_epsilon(tmp_path, capsys, argv):
     (["simulate", "--m", "2", "--n", "2", "--N", "1", "--horizon", "3"], 1),
     (["verify", "--m", "2", "--n", "3", "--N", "4"], 3),
     (["simulate", "--m", "2", "--n", "2", "--N", "3", "--horizon", "-1", "--snapshots"], 1),
-], ids=["simulate-exit-1", "verify-exit-3", "simulate-refused-horizon"])
+    # refused before seed 0 runs and writes its trajectory
+    (["simulate", "--preset", "fig4", "--horizon", "100", "--seed", "0,-1"], 1),
+], ids=["simulate-exit-1", "verify-exit-3", "simulate-refused-horizon", "simulate-negative-seed"])
 def test_failed_run_removes_only_the_directory_it_made(tmp_path, capsys, argv, code):
     # mkdir(parents=True) may make several levels; each goes, up to the first that existed
     assert cli.main(argv + ["--out", str(tmp_path / "made" / "b" / "c")]) == code
@@ -443,6 +445,18 @@ class TestVerifyCommand:
         capsys.readouterr()
         expected = (workloads.REFS / f"verify_{dynamic}.json").read_bytes()
         assert (tmp_path / "verify_report.json").read_bytes() == expected
+
+    def test_zero_neighbour_diagonal_is_ignored(self, tmp_path, capsys):
+        # Each agent always compares itself, so the diagonal is never read.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"neighbor_prob": [[0, 0.5, 0.5], [0.5, 0, 0.5],
+                                                        [0.5, 0.5, 0]]}))
+        for name, argv in (("zero", ["--config", str(config)]), ("flag", ["--p", "0.5"])):
+            assert cli.main(["verify", "--dynamic", "localized", "--m", "2", "--n", "2", "--N", "3",
+                             *argv, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        report = (tmp_path / "zero" / "verify_report.json").read_bytes()
+        assert report == (tmp_path / "flag" / "verify_report.json").read_bytes()
 
     def test_kernel_memory_checked_before_the_search(self, tmp_path, capsys, monkeypatch):
         def least_resistance(self):

@@ -58,6 +58,9 @@ class TestParams:
             LocalParams(0.1, ((0.5, 0.0), (1.0, 0.5)))
         with pytest.raises(ValueError):
             LocalParams(0.1, ((0.5,), (1.0,)))
+        LocalParams(0.1, ((0.0, 0.5), (0.5, 0.0)))  # the ignored diagonal may be 0
+        with pytest.raises(ValueError, match="diagonal in"):
+            LocalParams(0.1, ((1.5, 0.5), (0.5, 0.5)))
 
 
 class TestStepImitation:
