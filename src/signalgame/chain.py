@@ -30,10 +30,11 @@ Both dynamics rest only in homogeneous states, each of them one labelled state.
 
 Stationary solves use a blocked Grassmann-Taksar-Heyman elimination in place:
 subtraction-free, so componentwise accurate even when the spectral gap is tiny.
-Each block eliminates its own rows, folds its coupling panel in a contiguous
-copy, and updates the leading quadrant by a matrix product in row chunks, all in
-one reused scratch buffer. The layout is chosen for memory access only: every
-entry gets the same IEEE operations in the same order, so the result is fixed bit for bit.
+Each block folds its pivots into its own rows and into a contiguous copy of its
+coupling panel, 16 rows at a time so the rows being updated stay in cache, and
+updates the leading quadrant by a matrix product in row chunks, all in one reused
+scratch buffer. The layout is chosen for memory access only: every entry gets the
+same IEEE operations in the same order, so the result is fixed bit for bit.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ MAX_STATES = 100_000
 
 _INF = float("inf")
 # Entries of one row block of the resistance matrix in the least-resistance search (its
-# temporaries are (V, B) uint8 fold stages and one float32 threshold mask), and of one
-# chunk of the GTH trailing product.
+# temporaries are (V, B) uint8 fold stages and one float32 threshold mask).
 _BLOCK_ENTRIES = 1 << 21
-_GTH_BLOCK = 160  # states per block of the GTH elimination
+_GTH_BLOCK = 160  # states per GTH block, rows per product chunk and per kernel fill
+_GTH_GROUP = 16  # rows of a block that take its rank-1 folds together
 
 
 def _physical_memory() -> int:
@@ -260,15 +261,18 @@ class _ChainModel:
         return float(cost[np.arange(self.n_agents), new_ids].sum())
 
     def kernel(self, eps: float) -> np.ndarray:
-        """Dense one-step transition matrix at a fixed epsilon. Raises CapExceededError
-        before allocating if what a sweep holds exceeds physical memory: the kernel, which
-        GTH eliminates in place, and its scratch buffer, together V**2 + max(2 * _GTH_BLOCK
-        * V, min(V**2, _BLOCK_ENTRIES)) doubles, as V is a multiple of 8 wherever it fits."""
+        """Dense one-step transition matrix at a fixed epsilon, filled _GTH_BLOCK rows at a
+        time. Raises CapExceededError before allocating if what a sweep holds exceeds
+        physical memory: the kernel, which GTH eliminates in place, and the solver's scratch
+        buffer, together V**2 + _gth_scratch(V) doubles."""
         V = self.space.size
-        if (V * V + max(2 * _GTH_BLOCK * V, min(V * V, _BLOCK_ENTRIES))) * 8 > _physical_memory():
+        if (V * V + _gth_scratch(V)) * 8 > _physical_memory():
             raise CapExceededError(f"a dense kernel on {V} states and the GTH solver's "
                                    "scratch buffer would not fit in physical memory")
-        return _outer(self.per_agent_dists(self.space.all_ids(), eps), np.multiply)
+        dists, kernel = self.per_agent_dists(self.space.all_ids(), eps), np.empty((V, V))
+        for r in range(0, V, _GTH_BLOCK):
+            kernel[r:r + _GTH_BLOCK] = _outer(dists[r:r + _GTH_BLOCK], np.multiply)
+        return kernel
 
     def resistance_matrix(self) -> np.ndarray:
         """(V, V) float32 matrix of one-step resistances (inf = impossible)."""
@@ -439,6 +443,20 @@ def make_chain(table: LanguageTable, params: ImitationParams | LocalParams) -> _
 # -- stationary distributions -------------------------------------------------
 
 
+def _gth_blocks(n: int) -> list[tuple[int, int, int]]:
+    """(hi, lo, product chunk rows) of each GTH block [lo, hi), top block first. Chunks are
+    _GTH_BLOCK rows, a multiple of 8, and lo is chunked only when it is one too."""
+    los = [max(1, lo) for lo in range(n - _GTH_BLOCK, 1 - _GTH_BLOCK, -_GTH_BLOCK)]
+    return [(hi, lo, min(lo, _GTH_BLOCK) if lo % 8 == 0 else lo) for hi, lo in zip([n] + los, los)]
+
+
+def _gth_scratch(n: int) -> int:
+    """Doubles in the GTH scratch buffer: the most any block needs for one group product
+    beside its panel, or for one product chunk."""
+    return max([0] + [max(_GTH_GROUP * n + (hi - lo) * lo, rows * lo)
+                      for hi, lo, rows in _gth_blocks(n)])
+
+
 # an underflowed kernel overflows to inf or NaN, which the exit-mass and residual checks refuse
 @np.errstate(over="ignore", invalid="ignore")
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
@@ -448,49 +466,50 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     chain: the incoming column is scaled by the expected-visits factor 1/s
     (s = e's total exit probability toward lower states) and the outer
     product with e's raw outgoing row is added. States are eliminated from
-    the highest index down, one block [lo, hi) at a time, in three phases:
-    the block rows among themselves (rows below lo never feed them); the
-    coupling panel A[:lo, lo:hi], folded as a contiguous transposed copy and
-    written back for the back-substitution; and the leading quadrant, which
-    receives one matrix product in row chunks of about _BLOCK_ENTRIES
-    entries. Per entry this is the arithmetic of rank-1 folds into the
-    panel and one whole product per block into the quadrant, so the vector
-    does not depend on the layout, bit for bit. That needs each chunk to
-    round like the whole product: numpy's OpenBLAS rounds the last lo % 8
-    columns differently for different row counts, and numpy hands one-row
-    products to gemv, so chunks are multiples of 8 rows, and lo is chunked
-    only when it is a multiple of 8. Only additions, multiplications and
-    divisions of nonnegative numbers occur, so entries keep componentwise
+    the highest index down, one block [lo, hi) at a time. Its pivots are folded
+    by rank-1 updates into the block rows (rows below lo never feed them) and
+    into the coupling panel A[:lo, lo:hi], a contiguous transposed copy written
+    back for the back-substitution, one group of _GTH_GROUP rows at a time from
+    the top down: a group takes every pivot above it, then eliminates its own
+    rows, so a pivot updates 16 cached rows rather than every row below it. The
+    leading quadrant then receives one matrix product in row chunks. Per entry
+    this is the arithmetic of rank-1 folds in pivot order and one whole product
+    per block, so the vector does not depend on the layout, bit for bit. That
+    needs each chunk to round like the whole product: numpy's OpenBLAS rounds
+    the last lo % 8 columns differently for different row counts, and numpy
+    hands one-row products to gemv, so chunks are multiples of 8 rows, and lo
+    is chunked only when it is a multiple of 8. Only additions, multiplications
+    and divisions of nonnegative numbers occur, so entries keep componentwise
     relative accuracy regardless of the spectral gap.
 
-    Every other array is a view of one scratch buffer, allocated once at the size of
-    the largest phase: the panel beside its rank-1 folds, or one product chunk.
+    Every other array is a view of one scratch buffer of _gth_scratch(n) doubles: a
+    group's rank-1 product beside the panel, or one product chunk.
     """
-    n, block = A.shape[0], _GTH_BLOCK
-    los = [max(1, lo) for lo in range(n - block, 1 - block, -block)]
-    chunks = [min(lo, max(8, _BLOCK_ENTRIES // lo // 8 * 8) if lo % 8 == 0 else lo) for lo in los]
-    scratch = np.empty(max([2 * min(block, n - 1) * n] + [r * lo for r, lo in zip(chunks, los)]))
+    n = A.shape[0]
+    scratch = np.empty(_gth_scratch(n))
 
     def buf(rows: int, cols: int) -> np.ndarray:
         return scratch[:rows * cols].reshape(rows, cols)
 
-    for hi, lo, rows in zip([n] + los, los, chunks):
+    for hi, lo, rows in _gth_blocks(n):
         b = hi - lo
         s = np.empty(b)
-        for t in range(b - 1, -1, -1):
-            e = lo + t
-            s[t] = A[e, :e].sum()
-            if not s[t] > 0.0:
-                raise ConvergenceError(
-                    "kernel is reducible (an eliminated state cannot reach lower states)"
-                )
-            A[lo:e, e] /= s[t]
-            A[lo:e, :e] += np.multiply(A[lo:e, e, None], A[e, None, :e], out=buf(t, e))
         P = scratch[scratch.size - b * lo:].reshape(b, lo)
         P[:] = A[:lo, lo:hi].T
-        for t in range(b - 1, -1, -1):
-            P[t] /= s[t]
-            P[:t] += np.multiply(A[lo + t, lo:lo + t, None], P[t, None, :], out=buf(t, lo))
+        for g in range(b, 0, -_GTH_GROUP):  # the group is block rows [g0, g)
+            g0 = max(0, g - _GTH_GROUP)
+            for t in range(b - 1, g0 - 1, -1):
+                e, m = lo + t, min(t, g)  # pivot e updates block rows [g0, m)
+                if t < g:
+                    s[t] = A[e, :e].sum()
+                    if not s[t] > 0.0:
+                        raise ConvergenceError("kernel is reducible (an eliminated state "
+                                               "cannot reach lower states)")
+                    P[t] /= s[t]
+                R = A[lo + g0:lo + m]
+                R[:, e] /= s[t]
+                R[:, :e] += np.multiply(R[:, e, None], A[e, None, :e], out=buf(m - g0, e))
+                P[g0:m] += np.multiply(A[e, lo + g0:lo + m, None], P[t], out=buf(m - g0, lo))
         A[:lo, lo:hi] = P.T
         T, U, V = A[:lo, :lo], A[:lo, lo:hi], A[lo:hi, :lo]
         for r in range(0, lo, rows):

@@ -462,7 +462,8 @@ class TestVerifyCommand:
         def least_resistance(self):
             raise AssertionError("search ran before the kernel memory check")
 
-        monkeypatch.setattr(chain, "_physical_memory", lambda: 2 * 256**2 * 8 - 1)
+        need = (256**2 + 16 * 256 + 160 * 96) * 8  # the kernel and the GTH scratch buffer
+        monkeypatch.setattr(chain, "_physical_memory", lambda: need - 1)
         monkeypatch.setattr(chain._ChainModel, "least_resistance", least_resistance)
         code = cli.main(["verify", "--m", "2", "--n", "2", "--N", "2", "--sweep",
                          "--eps-list", "0.1", "--out", str(tmp_path)])
@@ -590,7 +591,8 @@ class TestSweepCommand:
         assert eps_col == [0.1, 0.05]
 
     def test_kernel_above_memory_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(chain, "_physical_memory", lambda: 2 * 256**2 * 8 - 1)
+        need = (256**2 + 16 * 256 + 160 * 96) * 8  # the kernel and the GTH scratch buffer
+        monkeypatch.setattr(chain, "_physical_memory", lambda: need - 1)
         code = cli.main(["sweep", "--m", "2", "--n", "2", "--N", "2", "--d", "2",
                          "--eps-list", "0.1", "--out", str(tmp_path / "sweep")])
         assert code == 3
