@@ -265,14 +265,15 @@ class _ChainModel:
         time. Raises CapExceededError before allocating if what a sweep holds exceeds
         physical memory: the kernel, which GTH eliminates in place, and the solver's scratch
         buffer, together V**2 + _gth_scratch(V) doubles."""
-        V = self.space.size
+        V, K = self.space.size, self.table.size
         if (V * V + _gth_scratch(V)) * 8 > _physical_memory():
             raise CapExceededError(f"a dense kernel on {V} states and the GTH solver's "
                                    "scratch buffer would not fit in physical memory")
-        dists, kernel = self.per_agent_dists(self.space.all_ids(), eps), np.empty((V, V))
-        for r in range(0, V, _GTH_BLOCK):
-            kernel[r:r + _GTH_BLOCK] = _outer(dists[r:r + _GTH_BLOCK], np.multiply)
-        return kernel
+        dists, kernel = self.per_agent_dists(self.space.all_ids(), eps), np.empty((V, V // K, K))
+        for r in range(0, V, _GTH_BLOCK):  # the last agent's factors multiply into the rows
+            np.multiply(_outer(dists[r:r + _GTH_BLOCK, :-1], np.multiply)[:, :, None],
+                        dists[r:r + _GTH_BLOCK, -1, None], out=kernel[r:r + _GTH_BLOCK])
+        return kernel.reshape(V, V)
 
     def resistance_matrix(self) -> np.ndarray:
         """(V, V) float32 matrix of one-step resistances (inf = impossible)."""
@@ -396,9 +397,11 @@ class ImitationChain(_ChainModel):
 class LocalizedChain(_ChainModel):
     """Exact chain of the localized competition dynamics.
 
-    Each agent always belongs to its own comparison set; other agents enter
-    independently with probability p_ij. Mutations draw from the full
-    language set.
+    Agent i compares itself, and each other agent j with probability p_ij (Q, on a unit
+    diagonal); mutations draw from all K languages. i copies j with probability Q_ij E[1/Y],
+    Y the members tying j (1/Y = 0 if one is fitter). As 1/Y = int_0^1 t^(Y-1) dt, E[1/Y] =
+    int_0^1 prod_{k != j} (1 - Q_ik [f_k >= f_j] + Q_ik [f_k = f_j] t) dt = sum_d c_d / (d + 1),
+    c_d the coefficients of t^d in the product.
     """
 
     dynamic = "localized"
@@ -406,32 +409,29 @@ class LocalizedChain(_ChainModel):
     def __init__(self, table: LanguageTable, params: LocalParams):
         super().__init__(table, params.n_agents)
         self.params = params
-        self._probs = np.asarray(params.neighbor_probs)
-        self._alike = self._probs[~np.eye(self.n_agents, dtype=bool)]  # each agent compares itself
+        others = ~np.eye(self.n_agents, dtype=bool)
+        self._probs = np.where(others, params.neighbor_probs, 1.0)  # each agent compares itself
+        self._alike = self._probs[others]
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
-        N = self.n_agents
+        V, N, K, q = ids.shape[0], self.n_agents, self.table.size, self._probs
         fit = self.table.fitness_scaled_ids(ids)
-        rows = np.arange(ids.shape[0])
-        copy = np.zeros((ids.shape[0], N, self.table.size))
-        for i in range(N):
-            others = [j for j in range(N) if j != i]
-            for included in itertools.product([False, True], repeat=N - 1):
-                weight = 1.0
-                members = [i]
-                for j, inc in zip(others, included):
-                    p = self._probs[i, j]
-                    weight *= p if inc else 1.0 - p
-                    if inc:
-                        members.append(j)
-                if weight == 0.0:
-                    continue
-                local = fit[:, members]
-                best = local == local.max(axis=1, keepdims=True)
-                share = weight / best.sum(axis=1)
-                for col, j in enumerate(members):
-                    copy[rows, i, ids[:, j]] += np.where(best[:, col], share, 0.0)
-        return (1.0 - eps) * copy + eps / self.table.size
+        others = ~np.eye(N, dtype=bool)
+        ge = 1.0 * ((fit.T[:, :, None] >= fit) & others[:, None])  # (k, V, j): k != j, f_k >= f_j
+        eq = 1.0 * ((fit.T[:, :, None] == fit) & others[:, None])  # (k, V, j): k != j, f_k = f_j
+        c = np.zeros((N + 1, V, N, N))  # c[d, v, i, j]: coefficient of t^d in i's product for j
+        c[0] = 1.0
+        for k in range(N):  # times agent k's factor a + b t, degree k + 1 at most, in place
+            a, b = 1.0 - q[:, k, None] * ge[k, :, None], q[:, k, None] * eq[k, :, None]
+            for d in range(k + 1, 0, -1):
+                c[d] *= a
+                c[d] += c[d - 1] * b
+            c[0] *= a
+        shares = q * np.divide(c, np.arange(1, N + 2).reshape(-1, 1, 1, 1), out=c).sum(axis=0)
+        del c, ge, eq, a, b  # freed before the scatter, so a sweep's heap stays small
+        slots = (np.arange(V * N).reshape(V, N, 1) * K + ids[:, None, :]).ravel()
+        copied = np.bincount(slots, shares.ravel(), minlength=V * N * K).reshape(V, N, K)
+        return np.add((1.0 - eps) * copied, eps / K, out=copied)
 
 
 def make_chain(table: LanguageTable, params: ImitationParams | LocalParams) -> _ChainModel:

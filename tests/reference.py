@@ -2,9 +2,11 @@
 
 One language at a time, in plain Python integers: the speak/hear maps, payoffs
 tr(P_a Q_b), Hamming distances and disks, object permutations, fitness and the
-potential scaled by (N-1), average fitness as an exact rational; and the
-replicator field in its textbook form. No program path runs them: the
-vectorised ``LanguageTable``, the simulator and ``replicator.integrate`` are
+potential scaled by (N-1), average fitness as an exact rational; the
+replicator field in its textbook form; and the localized dynamics'
+per-agent distributions by enumerating every comparison set. No program path
+runs them: the vectorised ``LanguageTable``, the simulator,
+``replicator.integrate`` and ``LocalizedChain.per_agent_dists`` are
 cross-checked against them.
 """
 
@@ -237,3 +239,33 @@ def replicator_rhs(x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     fitness = payoff @ x
     return x * (fitness - x @ fitness)
+
+
+def reference_localized_dists(table, probs: np.ndarray, ids: np.ndarray, eps: float) -> np.ndarray:
+    """(V, N, K) next-language distribution per agent of the localized dynamics, by
+    enumerating every comparison set: agent i always compares itself, and each other
+    agent j enters independently with probability probs[i, j]. A set's weight is
+    split evenly over its fittest members, and a mutation draws uniformly from all K
+    languages."""
+    N = ids.shape[1]
+    fit = table.fitness_scaled_ids(ids)
+    rows = np.arange(ids.shape[0])
+    copied = np.zeros((ids.shape[0], N, table.size))
+    for i in range(N):
+        others = [j for j in range(N) if j != i]
+        for included in itertools.product([False, True], repeat=N - 1):
+            weight = 1.0
+            members = [i]
+            for j, inc in zip(others, included):
+                p = probs[i, j]
+                weight *= p if inc else 1.0 - p
+                if inc:
+                    members.append(j)
+            if weight == 0.0:
+                continue
+            local = fit[:, members]
+            best = local == local.max(axis=1, keepdims=True)
+            share = weight / best.sum(axis=1)
+            for col, j in enumerate(members):
+                copied[rows, i, ids[:, j]] += np.where(best[:, col], share, 0.0)
+    return (1.0 - eps) * copied + eps / table.size

@@ -42,7 +42,7 @@ from signalgame.dynamics import (
 from signalgame.errors import CapExceededError, ConvergenceError
 from signalgame.languages import get_table, language_count
 
-from reference import Language, permute
+from reference import Language, permute, reference_localized_dists
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,33 @@ class TestTransitionRows:
             )
 
 
+class TestLocalizedHook:
+    """The closed-form hook against the comparison-set enumeration it replaced."""
+
+    @pytest.mark.parametrize("space", [StateSpace, MultisetSpace])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.1, 0.003])
+    def test_equals_the_enumeration_bitwise_at_one_half(self, table22, space, eps):
+        # the sweep-223 localized instance, whose aligned states tie to the last bit
+        chain = LocalizedChain(table22, LocalParams.uniform(0.1, 3, 0.5))
+        ids = space(table22, 3).all_ids()
+        assert np.array_equal(chain.per_agent_dists(ids, eps),
+                              reference_localized_dists(table22, np.full((3, 3), 0.5), ids, eps))
+
+    @pytest.mark.parametrize("N,probs,space", [
+        (3, np.full((3, 3), 0.3), StateSpace),
+        (4, np.full((4, 4), 0.7), MultisetSpace),
+        (3, np.array([[0.0, 1.0, 0.4], [0.25, 0.0, 1.0], [1.0, 0.6, 0.0]]), StateSpace),
+    ], ids=["223-p0.3", "224-p0.7-multisets", "223-ones-zero-diagonal"])
+    def test_equals_the_enumeration_to_roundoff(self, table22, N, probs, space):
+        chain = LocalizedChain(table22, LocalParams(0.1, tuple(map(tuple, probs))))
+        ids = space(table22, N).all_ids()
+        for eps in (0.0, 0.5):
+            dists = chain.per_agent_dists(ids, eps)
+            expected = reference_localized_dists(table22, probs, ids, eps)
+            assert np.abs(dists - expected).max() <= 1e-15
+            assert np.array_equal(dists == 0.0, expected == 0.0)  # all the search reads
+
+
 class TestMonteCarloCrossCheck:
     def _compare(self, chain, step, params, state, eps, seed, trials=60000):
         table = chain.table
@@ -268,6 +295,15 @@ class TestMonteCarloCrossCheck:
         params = LocalParams.uniform(epsilon=0.15, N=2, p=0.6)
         chain = LocalizedChain(table22, params)
         self._compare(chain, _step_localized_ids, params, (3, 9), 0.15, seed=2024)
+
+    # (0, 1, 2): three languages tie at the top; (0, 1, 4): two languages tie above a third
+    @pytest.mark.parametrize("state", [(0, 1, 2), (0, 1, 4)])
+    def test_localized_three_agents_nonuniform(self, table22, state):
+        params = LocalParams(0.15, ((0.0, 0.3, 0.8), (0.6, 1.0, 1.0), (0.45, 0.9, 0.0)))
+        chain = LocalizedChain(table22, params)
+        fit = table22.fitness_scaled_ids(np.array(state))
+        assert (fit == fit.max()).sum() >= 2
+        self._compare(chain, _step_localized_ids, params, state, 0.15, seed=77)
 
 
 class TestRecurrentClasses:
@@ -718,6 +754,22 @@ class TestKernelMemoryCheck:
         model = make_chain(table22, params)
         whole = _outer(model.per_agent_dists(model.space.all_ids(), 0.1), np.multiply)
         assert np.array_equal(model.kernel(0.1), whole)
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_kernel_peak_is_the_kernel_and_a_few_mib(self, table22, dynamic):
+        # The last agent's factors multiply straight into each 160-row block; filling the
+        # block through a whole-width temporary and copying it in peaked 5 MiB above this.
+        params = (ImitationParams.uniform(epsilon=0.1, d=2, N=3, p=0.3) if dynamic == "imitation"
+                  else LocalParams.uniform(epsilon=0.1, N=3, p=0.5))
+        model = make_chain(table22, params)
+        model.space  # built before tracing starts, as every sweep row shares it
+        tracemalloc.start()
+        try:
+            model.kernel(0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096**2 * 8 + 3 * 2**20
 
 
 def reference_gth_stationary(kernel: np.ndarray, block: int = 160) -> np.ndarray:
