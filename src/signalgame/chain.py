@@ -1,18 +1,20 @@
 """Exact analysis of the perturbed evolutionary chain at desk scale.
 
 States are joint states, one language id per agent (labelled states). Each
-dynamic supplies a single hook, the per-agent next-language
-distribution for a batch of states; agents update independently, so the
-one-step kernel is its product over agents, and the one-step resistances
-(the epsilon-exponent of each transition) are sums over agents of
-per-agent exponents read off the same distribution, which is affine in
-epsilon. On top runs the machinery of stochastic stability: recurrent
+dynamic supplies a hook, the per-agent next-language distribution for a batch
+of states, which is affine in epsilon, and its mutation support; agents update
+independently, so the one-step kernel is the hook's product over agents, and the
+one-step resistances (the epsilon-exponent of each transition) are sums over
+agents of per-agent exponents: 0 where the hook is positive at epsilon 0, else 1
+on the mutation support. On top runs the machinery of stochastic stability: recurrent
 classes of the unperturbed chain, least resistances between classes via a
 level-set search (resistances are small integers, so distances grow one
 level at a time), stochastic potentials via minimum spanning arborescences,
 and stationary distributions of the perturbed chain for epsilon sweeps. The
-arborescence weight needs no tree: Chu-Liu/Edmonds contracts the cycles of
-cheapest out-edges on reduced weights until none is left, and sums what it paid.
+arborescence weights need no tree, and every root shares one Chu-Liu/Edmonds
+contraction: the strongly connected sets of cheapest out-edges contract on reduced
+weights until none is left, and the tree into r weighs all that was paid less what the
+nodes holding r paid.
 
 Free moves (resistance 0) are numpy edge arrays sorted by source; every search
 on them repeats a pull, one gather and one ``ufunc.reduceat``, until nothing
@@ -202,11 +204,13 @@ class _ChainModel:
     classes all derive from it. Each per-agent probability must be affine in
     epsilon, which makes its resistance (its epsilon-exponent) 0 where it is
     positive at epsilon 0, 1 where it is positive only for epsilon in (0, 1),
-    and inf where it is always zero.
+    and inf where it is always zero. Its mutation support, ``_mutants``, tells 1
+    from inf; without it the hook is probed at epsilon 1/2 instead.
     """
 
     _alike: np.ndarray | None = None  # probabilities that must agree for agents to be alike
     _probs: np.ndarray | None = None  # the revision or neighbour probabilities the hook reads
+    _mutants: np.ndarray | None = None  # [l, k]: a mutant of language l can draw language k
 
     def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
@@ -228,19 +232,19 @@ class _ChainModel:
         raise NotImplementedError
 
     def _resistances(self, ids: np.ndarray) -> np.ndarray:
-        """(V, N, K) float32 per-agent resistances for (V, N) states.
-
-        An affine probability that is positive anywhere in (0, 1) is positive
-        at epsilon 1/2, so one probe there separates resistance 1 from inf. The probes
-        set every probability below 1 to 1/2: which moves are possible depends only on
-        which are 1, and a tiny one could underflow to 0.0 in a product (5e-324 / 2 does).
-        """
+        """(V, N, K) float32 per-agent resistances for (V, N) states: 0 where the hook is
+        positive at epsilon 0, else 1 on the mutation support and inf off it. Without
+        ``_mutants`` the support is where the hook is positive at epsilon 1/2, as an affine
+        probability positive anywhere in (0, 1) is. The probes set every probability below 1
+        to 1/2: which moves are possible depends only on which are 1, and a tiny one could
+        underflow to 0.0 in a product (5e-324 / 2 does)."""
         probe = copy.copy(self)
         if self._probs is not None:
             probe._probs = np.where(self._probs == 1.0, 1.0, 0.5)
         free = probe.per_agent_dists(ids, 0.0) > 0.0
-        possible = probe.per_agent_dists(ids, 0.5) > 0.0
-        return np.where(free, np.float32(0), np.where(possible, np.float32(1), np.float32(_INF)))
+        mutable = (probe.per_agent_dists(ids, 0.5) > 0.0 if self._mutants is None
+                   else self._mutants[ids])
+        return np.where(free, np.float32(0), np.where(mutable, np.float32(1), np.float32(_INF)))
 
     # -- public operations ---------------------------------------------------
 
@@ -380,6 +384,7 @@ class ImitationChain(_ChainModel):
         self._disk_unif = np.zeros((table.size, table.size))
         for lid, members in enumerate(table.disks(params.d)):
             self._disk_unif[lid, members] = 1.0 / members.size
+        self._mutants = self._disk_unif > 0.0  # a mutant draws from the disk around its language
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         fit = self.table.fitness_scaled_ids(ids)
@@ -412,6 +417,7 @@ class LocalizedChain(_ChainModel):
         others = ~np.eye(self.n_agents, dtype=bool)
         self._probs = np.where(others, params.neighbor_probs, 1.0)  # each agent compares itself
         self._alike = self._probs[others]
+        self._mutants = np.ones((table.size,) * 2, dtype=bool)  # mutants draw from all K languages
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         V, N, K, q = ids.shape[0], self.n_agents, self.table.size, self._probs
@@ -562,58 +568,61 @@ class ResistanceGraph:
         return len(self.classes)
 
 
-def min_in_arborescence(weights: np.ndarray, root: int) -> float:
-    """Weight of the cheapest spanning tree with a directed path from every node into root.
-
-    ``weights[i, j]`` is the cost of edge i -> j (inf where absent; the diagonal
-    is ignored), and every non-root node keeps one outgoing edge. Chu-Liu/Edmonds
-    on the weight alone: every non-root node pays for its cheapest out-edge, which
-    is then subtracted from all its out-edges, and each cycle the chosen edges
-    close contracts to one node whose out-edges are the least of its members',
-    until no cycle is left. Raises ValueError when no finite tree exists.
-    """
+def _in_tree_weights(weights: np.ndarray) -> np.ndarray:
+    """Weight of the cheapest spanning in-tree into every node (inf where none), from one
+    Chu-Liu/Edmonds contraction without a root. Every node pays for its cheapest out-edges,
+    whose weight is then subtracted from all its out-edges; the sets these edges connect
+    strongly (their cycles, merged where they meet) contract, each to one node whose
+    out-edges are the least of its members', until none is left. The tree into r weighs all
+    that was paid less what the nodes holding r paid. A node with no finite out-edge pays
+    nothing and never contracts: only roots inside it have a tree, and none has one when two
+    such nodes are left."""
     w = np.array(weights, dtype=float)
-    w[root] = _INF
-    total, target = 0.0, root
+    group, own, total = np.arange(len(w)), np.zeros(len(w)), 0.0
     while True:
         n = len(w)
         np.fill_diagonal(w, _INF)
-        succ = w.argmin(axis=1).tolist()
-        paid = w[np.arange(n), succ]
-        paid[root] = 0.0
-        total += paid.sum()
-        if not total < _INF:
-            raise ValueError(f"no finite-weight arborescence into node {target}")
-        # Follow the chosen edges from each node; a walk that meets its own path
-        # has closed a cycle there.
-        cycles, walk = [], [-1] * n
-        for start in range(n):
-            v = start
-            while walk[v] < 0 and v != root:
-                walk[v], v = start, succ[v]
-            if walk[v] == start:
-                cycle, u = [v], succ[v]
-                while u != v:
-                    cycle.append(u)
-                    u = succ[u]
-                cycles.append(cycle)
-        if not cycles:
-            return float(total)
+        paid = w.min(axis=1)
+        sink = paid == _INF
+        paid[sink] = 0.0
+        total, own = total + paid.sum(), own + paid[group]
         w -= paid[:, None]
-        # Each node off the cycles is a group of its own, listed first, so the
-        # root's new index is its place in the order.
-        on_cycle = {v for cycle in cycles for v in cycle}
-        groups = [[v] for v in range(n) if v not in on_cycle] + cycles
-        order = [v for group in groups for v in group]
-        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        # After k squarings reach[u, v] says v is at most 2^k >= n - 1 cheapest out-edges
+        # from u; nodes that reach each other form one set, named by its least node.
+        reach = np.eye(n, dtype=np.float32) + (w == 0.0)
+        for _ in range((n - 1).bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        name = (reach * reach.T).argmax(axis=1)
+        named = name == np.arange(n)
+        if named.all():
+            break
+        node = (np.cumsum(named) - 1)[name]
+        order = np.argsort(node, kind="stable")
+        starts = np.searchsorted(node[order], np.arange(node.max() + 1))
         w = np.minimum.reduceat(np.minimum.reduceat(w[order], starts, axis=0)[:, order],
                                 starts, axis=1)
-        root = order.index(root)
+        group = node[group]
+    sinks = np.flatnonzero(sink)
+    return np.where((sinks.size == 1) & (group == sinks[:1]), total - own, _INF)
+
+
+def min_in_arborescence(weights: np.ndarray, root: int) -> float:
+    """Weight of the cheapest spanning tree with a directed path from every node into root.
+    ``weights[i, j]`` is the cost of edge i -> j (inf where absent; the diagonal is ignored),
+    and every non-root node keeps one outgoing edge. Raises ValueError when none is finite."""
+    weight = _in_tree_weights(weights)[root]
+    if weight == _INF:
+        raise ValueError(f"no finite-weight arborescence into node {root}")
+    return float(weight)
 
 
 def stochastic_potential(rg: ResistanceGraph) -> np.ndarray:
-    """Per-class stochastic potential: the minimum arborescence weight into each class."""
-    return np.array([min_in_arborescence(rg.r, root) for root in range(rg.n_classes)])
+    """Per-class stochastic potential: the minimum arborescence weight into each class,
+    all from one contraction. Raises ValueError when some class has no finite tree."""
+    gamma = _in_tree_weights(rg.r)
+    if np.isinf(gamma).any():
+        raise ValueError(f"no finite-weight arborescence into node {gamma.argmax()}")
+    return gamma
 
 
 # -- stability verification -------------------------------------------------------

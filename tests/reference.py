@@ -3,15 +3,18 @@
 One language at a time, in plain Python integers: the speak/hear maps, payoffs
 tr(P_a Q_b), Hamming distances and disks, object permutations, fitness and the
 potential scaled by (N-1), average fitness as an exact rational; the
-replicator field in its textbook form; and the localized dynamics'
-per-agent distributions by enumerating every comparison set. No program path
-runs them: the vectorised ``LanguageTable``, the simulator,
-``replicator.integrate`` and ``LocalizedChain.per_agent_dists`` are
-cross-checked against them.
+replicator field in its textbook form; the localized dynamics'
+per-agent distributions by enumerating every comparison set; the minimum
+in-arborescence by one Chu-Liu/Edmonds run per root; and per-agent resistances
+from two probes of the hook. No program path runs them: the vectorised
+``LanguageTable``, the simulator, ``replicator.integrate``,
+``LocalizedChain.per_agent_dists``, ``stochastic_potential`` and
+``_ChainModel._resistances`` are cross-checked against them.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,3 +272,61 @@ def reference_localized_dists(table, probs: np.ndarray, ids: np.ndarray, eps: fl
             for col, j in enumerate(members):
                 copied[rows, i, ids[:, j]] += np.where(best[:, col], share, 0.0)
     return (1.0 - eps) * copied + eps / table.size
+
+
+def reference_min_in_arborescence(weights: np.ndarray, root: int) -> float:
+    """Weight of the cheapest spanning in-tree into ``root``, by Chu-Liu/Edmonds with that
+    root: every non-root node pays for its cheapest out-edge, which is then subtracted
+    from all its out-edges, and each cycle the chosen edges close contracts to one node
+    whose out-edges are the least of its members', until no cycle is left. Raises
+    ValueError when no finite tree exists."""
+    w = np.array(weights, dtype=float)
+    w[root] = np.inf
+    total, target = 0.0, root
+    while True:
+        n = len(w)
+        np.fill_diagonal(w, np.inf)
+        succ = w.argmin(axis=1).tolist()
+        paid = w[np.arange(n), succ]
+        paid[root] = 0.0
+        total += paid.sum()
+        if not total < np.inf:
+            raise ValueError(f"no finite-weight arborescence into node {target}")
+        # Follow the chosen edges from each node; a walk that meets its own path
+        # has closed a cycle there.
+        cycles, walk = [], [-1] * n
+        for start in range(n):
+            v = start
+            while walk[v] < 0 and v != root:
+                walk[v], v = start, succ[v]
+            if walk[v] == start:
+                cycle, u = [v], succ[v]
+                while u != v:
+                    cycle.append(u)
+                    u = succ[u]
+                cycles.append(cycle)
+        if not cycles:
+            return float(total)
+        w -= paid[:, None]
+        # Each node off the cycles is a group of its own, listed first, so the
+        # root's new index is its place in the order.
+        on_cycle = {v for cycle in cycles for v in cycle}
+        groups = [[v] for v in range(n) if v not in on_cycle] + cycles
+        order = [v for group in groups for v in group]
+        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        w = np.minimum.reduceat(np.minimum.reduceat(w[order], starts, axis=0)[:, order],
+                                starts, axis=1)
+        root = order.index(root)
+
+
+def reference_resistances(model, ids: np.ndarray) -> np.ndarray:
+    """(V, N, K) float32 per-agent resistances of a chain for (V, N) states from two probes
+    of its hook: 0 where a move is possible at epsilon 0, 1 where it is possible at
+    epsilon 1/2 (an affine probability positive anywhere in (0, 1) is positive there),
+    inf elsewhere. The probes set every probability below 1 to 1/2, so none underflows."""
+    probe = copy.copy(model)
+    if model._probs is not None:
+        probe._probs = np.where(model._probs == 1.0, 1.0, 0.5)
+    free = probe.per_agent_dists(ids, 0.0) > 0.0
+    possible = probe.per_agent_dists(ids, 0.5) > 0.0
+    return np.where(free, np.float32(0), np.where(possible, np.float32(1), np.float32(np.inf)))

@@ -42,7 +42,7 @@ from signalgame.dynamics import (
 from signalgame.errors import CapExceededError, ConvergenceError
 from signalgame.languages import get_table, language_count
 
-from reference import Language, permute, reference_localized_dists
+from reference import Language, permute, reference_localized_dists, reference_resistances
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +266,55 @@ class TestLocalizedHook:
             expected = reference_localized_dists(table22, probs, ids, eps)
             assert np.abs(dists - expected).max() <= 1e-15
             assert np.array_equal(dists == 0.0, expected == 0.0)  # all the search reads
+
+
+class TestMutationSupport:
+    """One hook call and each dynamic's mutation support give the resistances of the two
+    hook probes, at epsilon 0 and 1/2, bit for bit."""
+
+    @staticmethod
+    def uniform(table, dynamic, N):
+        if dynamic == "imitation":
+            return ImitationChain(table, ImitationParams.uniform(0.01, d=1, N=N, p=0.3))
+        return LocalizedChain(table, LocalParams.uniform(0.01, N, 0.5))
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    @pytest.mark.parametrize("N,space", [(2, StateSpace), (3, StateSpace), (3, MultisetSpace),
+                                         (4, MultisetSpace)],
+                             ids=["222", "223", "223-multisets", "224-multisets"])
+    def test_uniform_chains(self, table22, dynamic, N, space):
+        chain = self.uniform(table22, dynamic, N)
+        ids = space(table22, N).all_ids()
+        res = chain._resistances(ids)
+        assert res.dtype == np.float32
+        assert np.array_equal(res, reference_resistances(chain, ids))
+        # the imitation disk of radius 1 leaves some languages out of reach
+        assert set(res.ravel().tolist()) == ({0, 1, np.inf} if dynamic == "imitation" else {0, 1})
+
+    @pytest.mark.parametrize("chain", [
+        lambda t: derived_layer_chains(t)[3],
+        lambda t: ImitationChain(t, ImitationParams(0.01, d=1, revision_probs=tuple(
+            np.random.default_rng(8).uniform(0.05, 0.95, size=3)))),
+        lambda t: LocalizedChain(t, LocalParams(0.01, ((0.0, 1.0, 0.4), (0.25, 0.0, 1.0),
+                                                       (1.0, 0.6, 0.0)))),
+    ], ids=["localized-forced", "imitation-random-probs", "localized-ones"])
+    def test_nonuniform_chains(self, table22, chain):
+        chain = chain(table22)
+        ids = chain.space.all_ids()
+        assert np.array_equal(chain._resistances(ids), reference_resistances(chain, ids))
+
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_one_hook_call(self, table22, dynamic, monkeypatch):
+        chain = self.uniform(table22, dynamic, 3)
+        hook, calls = type(chain).per_agent_dists, []
+
+        def counted(model, ids, eps):
+            calls.append(eps)
+            return hook(model, ids, eps)
+
+        monkeypatch.setattr(type(chain), "per_agent_dists", counted)
+        chain._resistances(chain.space.all_ids())
+        assert calls == [0.0]
 
 
 class TestMonteCarloCrossCheck:
