@@ -22,12 +22,13 @@ changes. If low[v] is the least state v reaches and high[v] the largest low
 over what v reaches, v is the least state of a closed class exactly when
 low[v] = high[v] = v; its class is what it reaches, pulled over reversed edges.
 
-When every agent uses the same revision or neighbour probability, the chain
-commutes with agent permutations and is strongly lumpable onto multisets of
-languages (Kemeny & Snell, Finite Markov Chains, 1960, 6.3), so recurrent
-classes and least resistances are searched there, and on labelled states
-otherwise. The results are exact for the lumped chain, whose resistances are
-minima over each orbit; a multiset class is listed by its sorted representatives.
+Resistances depend only on which probabilities are exactly 1, so they are read from a
+probe chain with every other probability set to 1/2. Unless some off-diagonal p_ij of a
+localized chain are 1 and some not, the probe commutes with agent permutations and is
+strongly lumpable onto multisets of languages (Kemeny & Snell, Finite Markov Chains,
+1960, 6.3), where recurrent classes and least resistances are searched. The results are
+exact for the lumped chain, whose resistances are minima over each orbit; a multiset
+class is listed by its sorted representatives.
 Both dynamics rest only in homogeneous states, each of them one labelled state.
 
 Stationary solves use a blocked Grassmann-Taksar-Heyman elimination in place:
@@ -96,12 +97,6 @@ class StateSpace:
     def all_ids(self) -> np.ndarray:
         """(size, N) array of language ids, row v the joint state of index v."""
         return _ids(np.arange(self.size), self.table.size, self.n_agents)
-
-    def extend(self, i: int, partial: np.ndarray, lid: np.ndarray) -> np.ndarray:
-        return partial * self.table.size + lid
-
-    def expand(self, costs: np.ndarray) -> np.ndarray:
-        return _outer(costs, np.add)
 
 
 def _ids(states: np.ndarray, K: int, N: int) -> np.ndarray:
@@ -194,23 +189,30 @@ def _reaching(free: tuple, new: np.ndarray) -> np.ndarray:
     return bits.view(bool).reshape(V, -1)[:, :C]
 
 
+def _alike(probs: np.ndarray) -> bool:
+    """Whether per-agent probabilities agree, or per-pair ones off the diagonal (each
+    agent's own entry): what every agent reads of the others is then the same."""
+    shared = probs if probs.ndim == 1 else probs[~np.eye(len(probs), dtype=bool)]
+    return bool((shared == shared[0]).all())
+
+
 class _ChainModel:
     """Shared scaffolding for the two dynamics.
 
     A dynamic supplies one hook, ``per_agent_dists(ids, eps)``: for a (V, N)
-    batch of states, the (V, N, K) next-language distribution of every agent.
-    Agents update independently given the state, so the kernel, the
-    transition rows and probabilities, the resistances and the recurrent
-    classes all derive from it. Each per-agent probability must be affine in
-    epsilon, which makes its resistance (its epsilon-exponent) 0 where it is
-    positive at epsilon 0, 1 where it is positive only for epsilon in (0, 1),
-    and inf where it is always zero. Its mutation support, ``_mutants``, tells 1
-    from inf; without it the hook is probed at epsilon 1/2 instead.
+    batch of states, the (V, N, K) next-language distribution of every agent,
+    and its mutation support ``_mutants``. Agents update independently given the
+    state, so the kernel, the transition rows and probabilities, the resistances
+    and the recurrent classes all derive from them. Each per-agent probability must
+    be affine in epsilon, which makes its resistance (its epsilon-exponent) 0 where
+    it is positive at epsilon 0, 1 where it is positive only for epsilon in (0, 1),
+    which is on the mutation support, and inf where it is always zero. The search
+    lumps the chain onto multisets, so the hook must commute with agent permutations
+    whenever the probe's probabilities agree (always, for a chain without ``_probs``).
     """
 
-    _alike: np.ndarray | None = None  # probabilities that must agree for agents to be alike
     _probs: np.ndarray | None = None  # the revision or neighbour probabilities the hook reads
-    _mutants: np.ndarray | None = None  # [l, k]: a mutant of language l can draw language k
+    _mutants: np.ndarray  # [l, k]: a mutant of language l can draw language k
 
     def __init__(self, table: LanguageTable, n_agents: int):
         self.table = table
@@ -221,30 +223,21 @@ class _ChainModel:
         """The full state space; built, and checked against the cap, on first use."""
         return StateSpace(self.table, self.n_agents)
 
-    @property
-    def shared_prob(self) -> float | None:
-        """The one revision or neighbour probability every agent (pair) uses, or None."""
-        alike = self._alike
-        return None if alike is None or np.any(alike != alike[0]) else float(alike[0])
-
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
         """(V, N, K) next-language distribution per agent for (V, N) states."""
         raise NotImplementedError
 
     def _resistances(self, ids: np.ndarray) -> np.ndarray:
-        """(V, N, K) float32 per-agent resistances for (V, N) states: 0 where the hook is
-        positive at epsilon 0, else 1 on the mutation support and inf off it. Without
-        ``_mutants`` the support is where the hook is positive at epsilon 1/2, as an affine
-        probability positive anywhere in (0, 1) is. The probes set every probability below 1
-        to 1/2: which moves are possible depends only on which are 1, and a tiny one could
-        underflow to 0.0 in a product (5e-324 / 2 does)."""
+        """(V, N, K) float32 per-agent resistances for (V, N) states: 0 where the probe's hook
+        is positive at epsilon 0, else 1 on the mutation support and inf off it. The probe
+        sets every probability below 1 to 1/2: which moves are possible depends only on which
+        are 1, and a tiny one could underflow to 0.0 in a product (5e-324 / 2 does)."""
         probe = copy.copy(self)
         if self._probs is not None:
             probe._probs = np.where(self._probs == 1.0, 1.0, 0.5)
         free = probe.per_agent_dists(ids, 0.0) > 0.0
-        mutable = (probe.per_agent_dists(ids, 0.5) > 0.0 if self._mutants is None
-                   else self._mutants[ids])
-        return np.where(free, np.float32(0), np.where(mutable, np.float32(1), np.float32(_INF)))
+        return np.where(free, np.float32(0),
+                        np.where(self._mutants[ids], np.float32(1), np.float32(_INF)))
 
     # -- public operations ---------------------------------------------------
 
@@ -285,14 +278,16 @@ class _ChainModel:
 
     @cached_property
     def _search(self) -> tuple:
-        """(space, closed classes of the eps=0 chain as its indices and as labelled
-        indices, their language ids or None, per-agent resistances, free-move graph as
-        each state's first edge and the edge targets). One space is built, checked
-        against the cap and searched: multisets when every agent uses one probability,
-        labelled states otherwise. A multiset class is listed by the labelled indices of
-        its sorted representatives; language ids need every class to be one homogeneous
-        state."""
-        space = self.space if self.shared_prob is None else MultisetSpace(self.table, self.n_agents)
+        """(multiset space, closed classes of the eps=0 chain as multiset indices and as the
+        labelled indices of their sorted representatives, their language ids or None,
+        per-agent resistances, free-move graph as each state's first edge and the edge
+        targets). The multisets, built and checked against the cap, lump the probe unless
+        some off-diagonal p_ij of a localized chain are 1 and some not: ValueError then.
+        Language ids need every class to be one homogeneous state."""
+        if self._probs is not None and not _alike(self._probs == 1.0):
+            raise ValueError("the search needs agents alike: the off-diagonal neighbour "
+                             "probabilities must be 1 for every pair of agents or for none")
+        space = MultisetSpace(self.table, self.n_agents)
         ids = space.all_ids()
         res = self._resistances(ids)
         # Free moves grow one agent at a time: each partial move is extended by every
@@ -380,7 +375,7 @@ class ImitationChain(_ChainModel):
     def __init__(self, table: LanguageTable, params: ImitationParams):
         super().__init__(table, params.n_agents)
         self.params = params
-        self._probs = self._alike = np.asarray(params.revision_probs)
+        self._probs = np.asarray(params.revision_probs)
         self._disk_unif = np.zeros((table.size, table.size))
         for lid, members in enumerate(table.disks(params.d)):
             self._disk_unif[lid, members] = 1.0 / members.size
@@ -416,7 +411,6 @@ class LocalizedChain(_ChainModel):
         self.params = params
         others = ~np.eye(self.n_agents, dtype=bool)
         self._probs = np.where(others, params.neighbor_probs, 1.0)  # each agent compares itself
-        self._alike = self._probs[others]
         self._mutants = np.ones((table.size,) * 2, dtype=bool)  # mutants draw from all K languages
 
     def per_agent_dists(self, ids: np.ndarray, eps: float) -> np.ndarray:
@@ -697,13 +691,14 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
     only. It runs first, so a kernel too large for memory fails before the
     search. N=2 instances are reported as degenerate: the lone-mutant fitness
     gap vanishes there, so the one-mutation characterization has no bite.
-    The report records one revision or neighbour probability, so the chain
-    must use the same one for every agent (pair); ValueError otherwise.
+    The search refuses (ValueError) a localized chain with some off-diagonal
+    p_ij = 1 and some not. The report records the probabilities as given, or
+    their one value when every agent (pair) shares it.
     """
-    table, N, prob = model.table, model.n_agents, model.shared_prob
+    table, N = model.table, model.n_agents
     imitation = model.dynamic == "imitation"
-    if prob is None:
-        raise ValueError("verify needs one probability shared by all agents")
+    given = np.array(model.params.revision_probs if imitation else model.params.neighbor_probs)
+    prob = float(given.flat[1]) if _alike(given) else given.tolist()  # entry 1 is off the diagonal
     epsilons = tuple(epsilons)
     sweep = sweep_stationary(model, epsilons) if epsilons else []
 

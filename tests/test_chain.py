@@ -303,6 +303,15 @@ class TestMutationSupport:
         ids = chain.space.all_ids()
         assert np.array_equal(chain._resistances(ids), reference_resistances(chain, ids))
 
+    @pytest.mark.parametrize("chain", [
+        lambda: RaiseTheMinimumChain(), lambda: SwitchChain(True), lambda: SwitchChain(False),
+        lambda: GraphChain([[1], [0, 2], [2], [0, 3]]),
+    ], ids=["raise-the-minimum", "switch-flip", "switch-stay", "graph"])
+    def test_hand_written_chains(self, chain):
+        chain = chain()
+        ids = StateSpace(chain.table, chain.n_agents).all_ids()
+        assert np.array_equal(chain._resistances(ids), reference_resistances(chain, ids))
+
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_one_hook_call(self, table22, dynamic, monkeypatch):
         chain = self.uniform(table22, dynamic, 3)
@@ -406,11 +415,28 @@ def public_chains(draw):
     return LocalizedChain(table, LocalParams(0.01, probs))
 
 
+def alike_in_the_probe(chain) -> bool:
+    """Whether the probe, every probability below 1 set to 1/2, treats all agents alike:
+    not for a localized chain with some off-diagonal p_ij = 1 and some below 1."""
+    if chain.dynamic == "imitation":
+        return True
+    ones = np.array(chain.params.neighbor_probs)[~np.eye(chain.n_agents, dtype=bool)] == 1.0
+    return ones.all() or not ones.any()
+
+
+def assert_search_refused(chain):
+    for search in (chain.recurrent_classes, chain.least_resistance):
+        with pytest.raises(ValueError, match="agents alike"):
+            search()
+
+
 @given(chain=public_chains())
 @settings(max_examples=30, deadline=None)
 def test_public_chains_rest_only_in_homogeneous_states(chain):
-    """Whichever space is searched, the classes of either dynamic are exactly the K
-    homogeneous states, so each has its language id."""
+    """The classes of either dynamic are exactly the K homogeneous states, so each has
+    its language id; the search refuses a chain whose probe does not treat agents alike."""
+    if not alike_in_the_probe(chain):
+        return assert_search_refused(chain)
     K, N = chain.table.size, chain.n_agents
     homogeneous = sum(K**i for i in range(N))
     assert chain.recurrent_classes() == [[lid * homogeneous] for lid in range(K)]
@@ -496,6 +522,8 @@ class TestDerivedLayer:
             assert R[v, w] == chain.step_resistance(decode(space, v), decode(space, w))
 
     def test_classes_are_closed_communicating_sets(self, chain):
+        if not alike_in_the_probe(chain):  # localized-forced: p_01 = 1, p_10 = 0.35
+            return assert_search_refused(chain)
         free = chain.resistance_matrix() == 0
         for cls in chain.recurrent_classes():
             inside = np.zeros(free.shape[0], dtype=bool)
@@ -553,6 +581,8 @@ class RaiseTheMinimumChain(_ChainModel):
     language, so most one-step moves are impossible, and raising a
     homogeneous state by one language takes 3 simultaneous mutations."""
 
+    _mutants = np.eye(4, k=1, dtype=bool)  # l -> l + 1 below language 3
+
     def __init__(self):
         super().__init__(SimpleNamespace(size=4), 3)
 
@@ -567,7 +597,7 @@ class RaiseTheMinimumChain(_ChainModel):
 
 
 class SwitchChain(_ChainModel):
-    """K=2 languages, N=3 alike agents, so the search runs on multisets.
+    """K=2 languages, N=3 agents.
 
     With ``flip`` every agent flips its language unless a mutation (probability
     eps) keeps it, so {0,0,0} and {1,1,1} form one multiset class of two
@@ -576,11 +606,10 @@ class SwitchChain(_ChainModel):
     Either way some class is not one homogeneous state.
     """
 
-    _alike = np.ones(1)
-
     def __init__(self, flip: bool):
         super().__init__(SimpleNamespace(size=2), 3)
         self.flip = flip
+        self._mutants = np.eye(2, dtype=bool) if flip else ~np.eye(2, dtype=bool)
 
     def per_agent_dists(self, ids, eps):
         keep = np.eye(2)[ids]
@@ -598,6 +627,7 @@ class GraphChain(_ChainModel):
         for v, succ in enumerate(successors):
             self.free[v, succ] = 1.0
         self.free /= self.free.sum(axis=1, keepdims=True)
+        self._mutants = np.ones(self.free.shape, dtype=bool)
 
     def per_agent_dists(self, ids, eps):
         return ((1.0 - eps) * self.free[ids[:, 0]] + eps / len(self.free))[:, None, :]
@@ -633,7 +663,10 @@ class TestLeastResistance:
     @pytest.mark.parametrize("index", range(4), ids=["imitation", "imitation-nonuniform",
                                                      "localized", "localized-forced"])
     def test_matches_min_plus_small(self, table22, index):
-        assert_matches_oracle(derived_layer_chains(table22)[index])
+        chain = derived_layer_chains(table22)[index]
+        if not alike_in_the_probe(chain):  # localized-forced: p_01 = 1, p_10 = 0.35
+            return assert_search_refused(chain)
+        assert_matches_oracle(chain)
 
     def test_matches_min_plus_imitation223(self, imitation223):
         assert_matches_oracle(imitation223)
@@ -646,6 +679,19 @@ class TestLeastResistance:
 
     def test_matches_min_plus_localized232(self):
         assert_matches_oracle(LocalizedChain(get_table(2, 3), LocalParams.uniform(0.01, 2, 0.5)))
+
+    @pytest.mark.parametrize("m,n,N", [(2, 2, 3), (2, 3, 2)])
+    @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
+    def test_matches_min_plus_heterogeneous(self, dynamic, m, n, N):
+        # Random per-agent revision probabilities, or p_ij in (0, 1): the multisets of the
+        # probe against the labelled oracle, which has no agents to lump.
+        table, imitation = get_table(m, n), dynamic == "imitation"
+        probs = np.random.default_rng(m * 100 + n * 10 + N).uniform(0.05, 0.95,
+                                                                    N if imitation else (N, N))
+        chain = (ImitationChain(table, ImitationParams(0.01, 2, tuple(probs))) if imitation
+                 else LocalizedChain(table, LocalParams(0.01, tuple(map(tuple, probs)))))
+        assert_matches_oracle(chain)
+        assert isinstance(chain._search[0], MultisetSpace)
 
     @pytest.mark.parametrize("dynamic", ["imitation", "localized"])
     def test_uniform_chains_search_multisets(self, table22, monkeypatch, dynamic):
@@ -679,26 +725,35 @@ class TestLeastResistance:
         assert np.array_equal(rg.r, single.r)
         assert_matches_oracle(chain)
 
-    def _check_raise_the_minimum(self, chain):
+    def test_gaps_above_n_and_impossible_moves(self):
         # Levels 1 and 2 add no state, class 0 is 9 levels from class 3, and
-        # no class can move down: the search must cross idle levels, carry
-        # distances above N and stop with infinite entries.
+        # no class can move down: the search on multisets must cross idle levels,
+        # carry distances above N and stop with infinite entries.
+        chain = RaiseTheMinimumChain()
         rg = chain.least_resistance()
         assert rg.classes == [[0], [21], [42], [63]]
+        assert np.array_equal(rg.r, self.raise_the_minimum_resistances())
+        assert_matches_oracle(chain)
+
+    def test_gaps_above_n_on_multisets(self, monkeypatch):
+        # The same chain is searched on its 20 multisets without enumerating
+        # its 64 labelled states.
+        def refuse(space):
+            raise AssertionError("labelled states enumerated")
+
+        monkeypatch.setattr(StateSpace, "all_ids", refuse)
+        chain = RaiseTheMinimumChain()
+        rg = chain.least_resistance()
+        assert isinstance(chain._search[0], MultisetSpace)
+        assert rg.classes == [[0], [21], [42], [63]]
+        assert np.array_equal(rg.r, self.raise_the_minimum_resistances())
+
+    @staticmethod
+    def raise_the_minimum_resistances():
         expected = np.full((4, 4), np.inf)
         for i in range(4):
             expected[i, i:] = 3 * np.arange(4 - i)
-        assert np.array_equal(rg.r, expected)
-        assert_matches_oracle(chain)
-
-    def test_gaps_above_n_and_impossible_moves(self):
-        self._check_raise_the_minimum(RaiseTheMinimumChain())
-
-    def test_gaps_above_n_on_multisets(self):
-        chain = RaiseTheMinimumChain()
-        chain._alike = np.ones(1)  # its agents are alike, so multisets are searched
-        self._check_raise_the_minimum(chain)
-        assert isinstance(chain._search[0], MultisetSpace)
+        return expected
 
     @pytest.mark.parametrize("flip,classes", [
         (True, [[0, 7], [1, 3]]),
@@ -723,16 +778,16 @@ class TestLeastResistance:
         assert isinstance(chain._search[0], MultisetSpace)
 
     def test_nonuniform_chain_labels_labelled_classes(self, table22, resistance223):
-        # Agents with different revision probabilities are searched on labelled
-        # states; the free moves and the possible moves do not depend on the
-        # probabilities, so neither do the classes or which resistances are finite.
+        # Agents with different revision probabilities are searched on multisets of the
+        # probe, where every revision probability is 1/2, so the classes, listed by their
+        # labelled indices, and the resistances are those of the uniform chain.
         params = ImitationParams(epsilon=0.01, d=2, revision_probs=(0.3, 0.4, 0.5))
         chain = ImitationChain(table22, params)
         rg = chain.least_resistance()
-        assert chain._search[0] is chain.space
+        assert isinstance(chain._search[0], MultisetSpace)
         assert rg.classes == resistance223.classes
         assert rg.lang_ids == list(range(16))
-        assert np.array_equal(np.isfinite(rg.r), np.isfinite(resistance223.r))
+        assert np.array_equal(rg.r, resistance223.r)
 
     def test_diagonal_zero(self, resistance223):
         assert np.all(np.diagonal(resistance223.r) == 0)

@@ -471,10 +471,30 @@ class TestVerifyCommand:
         assert "physical memory" in capsys.readouterr().err
 
     def test_non_uniform_probabilities_exit_code(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"m": 2, "n": 2, "N": 3, "revision_prob": [0.2, 0.3, 0.4]}))
-        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 1
-        assert "one probability" in capsys.readouterr().err
+        # Probabilities below 1 all give the probe of the uniform chain, so per-agent
+        # revision probabilities and random p_ij report what the uniform references do,
+        # but for params, which record them as given.
+        refs, config = _perfbench().REFS, tmp_path / "cfg.json"
+        matrix = np.random.default_rng(3).uniform(0.05, 0.95, (3, 3)).tolist()
+        for dynamic, field, probs in (("imitation", "revision_prob", [0.2, 0.3, 0.4]),
+                                      ("localized", "neighbor_prob", matrix)):
+            config.write_text(json.dumps({"dynamic": dynamic, "m": 2, "n": 2, "N": 3,
+                                          field: probs}))
+            assert cli.main(["verify", "--config", str(config), "--out",
+                             str(tmp_path / dynamic)]) == 0
+            report = json.loads((tmp_path / dynamic / "verify_report.json").read_text())
+            expected = json.loads((refs / f"verify_{dynamic}.json").read_text())
+            assert report.pop("params")[field] == probs
+            del expected["params"]
+            assert report == expected
+        capsys.readouterr()
+        # p_01 = 1 but p_10 < 1: the probe does not treat the agents alike
+        config.write_text(json.dumps({"dynamic": "localized", "m": 2, "n": 2, "N": 3,
+                                      "neighbor_prob": [[0, 1, 0.5], [0.35, 0, 0.5],
+                                                        [0.5, 0.5, 0]]}))
+        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "forced")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "agents alike" in lines[0]
 
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["verify", "--m", "two"]) == 1
