@@ -276,17 +276,20 @@ class _ChainModel:
         """(V, V) float32 matrix of one-step resistances (inf = impossible)."""
         return _outer(self._resistances(self.space.all_ids()), np.add)
 
+    def _check_lumpable(self) -> None:
+        """Refuse (ValueError) a localized chain with some off-diagonal p_ij = 1 and some not."""
+        if self._probs is not None and not _alike(self._probs == 1.0):
+            raise ValueError("the search needs agents alike: the off-diagonal neighbour "
+                             "probabilities must be 1 for every pair of agents or for none")
+
     @cached_property
     def _search(self) -> tuple:
         """(multiset space, closed classes of the eps=0 chain as multiset indices and as the
         labelled indices of their sorted representatives, their language ids or None,
         per-agent resistances, free-move graph as each state's first edge and the edge
         targets). The multisets, built and checked against the cap, lump the probe unless
-        some off-diagonal p_ij of a localized chain are 1 and some not: ValueError then.
-        Language ids need every class to be one homogeneous state."""
-        if self._probs is not None and not _alike(self._probs == 1.0):
-            raise ValueError("the search needs agents alike: the off-diagonal neighbour "
-                             "probabilities must be 1 for every pair of agents or for none")
+        ``_check_lumpable`` refuses it. Language ids need every class homogeneous."""
+        self._check_lumpable()
         space = MultisetSpace(self.table, self.n_agents)
         ids = space.all_ids()
         res = self._resistances(ids)
@@ -691,15 +694,16 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
     only. It runs first, so a kernel too large for memory fails before the
     search. N=2 instances are reported as degenerate: the lone-mutant fitness
     gap vanishes there, so the one-mutation characterization has no bite.
-    The search refuses (ValueError) a localized chain with some off-diagonal
-    p_ij = 1 and some not. The report records the probabilities as given, or
-    their one value when every agent (pair) shares it.
+    A localized chain with some off-diagonal p_ij = 1 and some not is refused
+    (ValueError) before the sweep. The report records the probabilities as
+    given, or their one value when every agent (pair) shares it.
     """
     table, N = model.table, model.n_agents
     imitation = model.dynamic == "imitation"
     given = np.array(model.params.revision_probs if imitation else model.params.neighbor_probs)
     prob = float(given.flat[1]) if _alike(given) else given.tolist()  # entry 1 is off the diagonal
     epsilons = tuple(epsilons)
+    model._check_lumpable()
     sweep = sweep_stationary(model, epsilons) if epsilons else []
 
     rg = model.least_resistance()

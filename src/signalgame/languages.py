@@ -7,15 +7,15 @@ using ``a`` and a hearer using ``b`` succeeds on object ``i`` exactly when
 ``hear[b][speak[a][i]] == i``; counting successes gives tr(P_a Q_b).
 
 Languages are numbered by a canonical id (mixed radix, speak-major).
-``LanguageTable`` holds the maps, cross traces, payoffs and Hamming distances
-of every language as arrays over these ids. Fitness values are exact integers
-scaled by (N-1), so that argmax sets, ties and the potential identity can be
-asserted with zero tolerance.
+``LanguageTable`` holds the maps and payoffs of every language as arrays over
+these ids, and builds cross traces and Hamming distances on first read. Fitness
+values are exact integers scaled by (N-1), so that argmax sets, ties and the
+potential identity can be asserted with zero tolerance.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +35,10 @@ class LanguageTable:
     Everything downstream (simulation, exact chain analysis, replicator
     payoffs) works on canonical ids through these arrays. Tables are built
     once with numpy broadcasting; the tests check them against scalar
-    one-language-at-a-time versions in ``tests/reference.py``.
+    one-language-at-a-time versions in ``tests/reference.py``. The K x K
+    payoff is held from the start; ``cross`` and ``hamming_q``, which no
+    command reads whole, are built on first read; ``disks`` holds int16 ids
+    (below 2^15 by the cap) and builds no K x K table.
     """
 
     def __init__(self, m: int, n: int):
@@ -48,41 +51,48 @@ class LanguageTable:
                                    f"{MAX_LANGUAGES}; too large to tabulate")
         self.m = m
         self.n = n
-        self.size = count = language_count(m, n)
-        hear_radix = m**n
-        ids = np.arange(count)
-        speak_index = ids // hear_radix
-        hear_index = ids % hear_radix
-        self.speak = np.stack(
-            [(speak_index // n**i) % n for i in range(m)], axis=1
-        ).astype(np.int16)
-        self.hear = np.stack(
-            [(hear_index // m**j) % m for j in range(n)], axis=1
-        ).astype(np.int16)
-
-        # cross[a, b] = tr(P_a Q_b) counts the objects i that b hears back from a's
-        # symbol; it and hamming_q add one position at a time in int16, with no
-        # (K, K, m) temporary.
-        self.cross = np.zeros((count, count), dtype=np.int16)
-        for i in range(m):
-            self.cross += self.hear.T[self.speak[:, i]] == i
-        self.payoff = self.cross + self.cross.T
-        self.hamming_q = np.zeros((count, count), dtype=np.int16)
-        for col in (*self.speak.T, *self.hear.T):
-            self.hamming_q += col[:, None] != col[None, :]
-        self.hamming_q *= 2
-
-        self.aligned_mask = np.diagonal(self.cross) == min(m, n)
+        self.size = language_count(m, n)
+        # Ids are speak-major, id = s * m^n + h over the n^m speaking maps s and the m^n
+        # hearing maps h, so each K x K table is a (speak, hear, speak, hear) block array:
+        # one int16 allocation, broadcast from tables over the maps.
+        speak_maps = np.stack([np.arange(n**m) // n**i % n for i in range(m)], axis=1)
+        hear_maps = np.stack([np.arange(m**n) // m**j % m for j in range(n)], axis=1)
+        self.speak = np.repeat(speak_maps, m**n, axis=0).astype(np.int16)
+        self.hear = np.tile(hear_maps, (n**m, 1)).astype(np.int16)
+        # _trace[s, h] = tr(P_s Q_h) counts the objects i that h returns from s's symbol for i
+        self._trace = (hear_maps.T[speak_maps] == np.arange(m)[:, None]).sum(axis=1, dtype=np.int16)
+        self._map_q = [2 * (maps[:, None] != maps[None]).sum(axis=2, dtype=np.int16)
+                       for maps in (speak_maps, hear_maps)]  # twice the differing entries
+        self.payoff = self._blocks(self._trace[:, None, None, :], self._trace.T[None, :, :, None])
+        self.aligned_mask = self._trace.ravel() == min(m, n)
         self.aligned_ids = np.flatnonzero(self.aligned_mask)
         self._disks: dict[int, list[np.ndarray]] = {}
 
+    def _blocks(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left + right as a K x K table; C order, so that the reshape is a view."""
+        return np.add(left, right, order="C").reshape(self.size, self.size)
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """cross[a, b] = tr(P_a Q_b), which reads a's speaking map and b's hearing map."""
+        S, H = self._trace.shape
+        return self._blocks(self._trace[:, None, None, :], np.zeros((H, S, 1), dtype=np.int16))
+
+    @cached_property
+    def hamming_q(self) -> np.ndarray:
+        """hamming_q[a, b]: twice the map entries where a and b differ."""
+        speak_q, hear_q = self._map_q
+        return self._blocks(speak_q[:, None, :, None], hear_q[None, :, None, :])
+
     def disks(self, d: int) -> list[np.ndarray]:
-        """Per-language arrays of ids within Hamming distance d (ascending)."""
+        """Per-language int16 arrays of ids within Hamming distance d (ascending), each
+        from its language's rows of the map distances, with no K x K table."""
         if d < 0:
             raise ValueError(f"d must be >= 0, got {d}")
         if d not in self._disks:
-            within = self.hamming_q <= 4 * d
-            self._disks[d] = [np.flatnonzero(within[k]) for k in range(self.size)]
+            speak_q, hear_q = self._map_q
+            self._disks[d] = [np.flatnonzero(row_s[:, None] + row_h <= 4 * d).astype(np.int16)
+                              for row_s in speak_q for row_h in hear_q]
         return self._disks[d]
 
     def fitness_scaled_ids(self, ids: np.ndarray) -> np.ndarray:

@@ -42,11 +42,12 @@ _SIMPLEX_TOL = 1e-9  # how far a step may leave the simplex before renormalizati
 
 
 def payoff_matrix(m: int, n: int) -> np.ndarray:
-    """Symmetric K x K matrix of two-way communication payoffs, canonical id order.
+    """Symmetric K x K float64 matrix of two-way communication payoffs, canonical id
+    order: the dtype ``integrate`` multiplies in, so that it makes no copy of its own.
 
     Raises CapExceededError above the language-table cap.
     """
-    return get_table(m, n).payoff.astype(np.int64)
+    return get_table(m, n).payoff.astype(np.float64)
 
 
 @dataclass

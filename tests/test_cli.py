@@ -470,6 +470,20 @@ class TestVerifyCommand:
         assert code == 3
         assert "physical memory" in capsys.readouterr().err
 
+    def test_unlumpable_matrix_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def kernel(self, eps):
+            raise AssertionError("the sweep ran before the refusal")
+
+        monkeypatch.setattr(chain._ChainModel, "kernel", kernel)
+        config = tmp_path / "cfg.json"  # p_01 = 1 but p_10 < 1
+        config.write_text(json.dumps({"dynamic": "localized", "m": 2, "n": 2, "N": 3,
+                                      "neighbor_prob": [[0, 1, 0.5], [0.35, 0, 0.5],
+                                                        [0.5, 0.5, 0]]}))
+        assert cli.main(["verify", "--config", str(config), "--sweep", "--eps-list", "0.1",
+                         "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "agents alike" in lines[0]
+
     def test_non_uniform_probabilities_exit_code(self, tmp_path, capsys):
         # Probabilities below 1 all give the probe of the uniform chain, so per-agent
         # revision probabilities and random p_ij report what the uniform references do,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -338,6 +339,39 @@ class TestLanguageTable:
             lists = table.disks(d)
             for lid, language in enumerate(langs):
                 assert [int(x) for x in lists[lid]] == [l.id for l in disk(language, d)]
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_disks_are_int16_and_match_reference(self, m, n):
+        table, langs = get_table(m, n), enumerate_languages(m, n)
+        sample = np.random.default_rng(m * n).choice(table.size, min(table.size, 6), replace=False)
+        for d in (1, 2):
+            lists = table.disks(d)
+            assert all(members.dtype == np.int16 for members in lists)
+            for lid in sample:
+                assert lists[lid].tolist() == [l.id for l in disk(langs[lid], d)]
+
+    def test_fresh_table_holds_payoff_and_disks_only(self):
+        # cross and hamming_q are built on first read and disks() builds no K x K table,
+        # so 729 languages hold a 1.0 MiB int16 payoff and 1.0 MiB of int16 disks (every
+        # language lies within d = 3), where int64 disks and three K x K tables held
+        # about 7.3 MiB.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = LanguageTable(3, 3)
+            lists = table.disks(3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held < 2.5 * 2**20
+        assert "cross" not in vars(table) and "hamming_q" not in vars(table)
+        assert all(members.dtype == np.int16 for members in lists)
+        assert all(members.tolist() == list(range(729)) for members in lists)
+        assert table.cross is table.cross and table.hamming_q is table.hamming_q
+        assert "cross" in vars(table) and "hamming_q" in vars(table)
 
     def test_fitness_ids(self):
         table = get_table(2, 3)

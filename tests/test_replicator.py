@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from signalgame.errors import CapExceededError
+from signalgame.languages import get_table
 from signalgame.replicator import SUBOPTIMAL_REST_X0, integrate, payoff_matrix
 
 from reference import cross_trace, enumerate_languages, mean_fitness, permute, replicator_rhs
@@ -33,6 +36,13 @@ class TestPayoffMatrix:
             for _ in range(100):
                 i, j = rng.integers(0, len(langs), 2)
                 assert A[i, j] == cross_trace(langs[i], langs[j]) + cross_trace(langs[j], langs[i])
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_float64_equals_table_payoff(self, m, n):
+        # the matrix integrate multiplies in, so it is not copied again there
+        A = payoff_matrix(m, n)
+        assert A.dtype == np.float64
+        assert np.array_equal(A, get_table(m, n).payoff)
 
     def test_object_permutation_symmetry(self, A22):
         langs = enumerate_languages(2, 2)
@@ -228,3 +238,20 @@ class TestMatchesOracle:
             state = ",".join(repr(float(v)) for v in oracle["states"][idx])
             lines.append(f"{float(t)!r},{float(w)!r},{state}")
         assert (tmp_path / "replicator.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["--m", "2", "--n", "2", "--x0", "fixture", "--steps", "10000"],
+     "980deb3c787827fcf22b28b900fe06121febb552b31458d82ea831e1168de88a"),
+    (["--m", "2", "--n", "3", "--x0", "uniform", "--steps", "2000"],
+     "95cc98a270046cde2bf2ddebf870d63462743616449a661ec20b3e4347a66e6e"),
+], ids=["fixture-22", "uniform-23"])
+def test_cli_csv_bytes(tmp_path, capsys, argv, sha256):
+    # Captured while payoff_matrix returned int64 and integrate converted it to float64:
+    # the float64 matrix gives the same products. Another BLAS may round its matmul
+    # differently, as it may the replicator terminal values that perfbench pins.
+    from signalgame import cli
+
+    assert cli.main(["replicator", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "replicator.csv").read_bytes()).hexdigest() == sha256
