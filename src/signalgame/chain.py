@@ -12,9 +12,9 @@ level-set search (resistances are small integers, so distances grow one
 level at a time), stochastic potentials via minimum spanning arborescences,
 and stationary distributions of the perturbed chain for epsilon sweeps. The
 arborescence weights need no tree, and every root shares one Chu-Liu/Edmonds
-contraction: the strongly connected sets of cheapest out-edges contract on reduced
-weights until none is left, and the tree into r weighs all that was paid less what the
-nodes holding r paid.
+contraction: the sets that the cheapest out-edges connect strongly, read off the pull
+below, contract on reduced weights until none is left, and the tree into r weighs all
+that was paid less what the nodes holding r paid.
 
 Free moves (resistance 0) are numpy edge arrays sorted by source; every search
 on them repeats a pull, one gather and one ``ufunc.reduceat``, until nothing
@@ -135,10 +135,6 @@ class MultisetSpace:
 
     def all_ids(self) -> np.ndarray:
         return self.rows
-
-    def extend(self, i: int, partial: np.ndarray, lid: np.ndarray) -> np.ndarray:
-        """Multiset of agents 0..i when agent i adds language lid to ``partial``."""
-        return self._insert[i][partial, lid]
 
     def expand(self, costs: np.ndarray) -> np.ndarray:
         """(B, size) joint costs from (B, N, K) per-agent costs, each the least over
@@ -286,24 +282,27 @@ class _ChainModel:
     def _search(self) -> tuple:
         """(multiset space, closed classes of the eps=0 chain as multiset indices and as the
         labelled indices of their sorted representatives, their language ids or None,
-        per-agent resistances, free-move graph as each state's first edge and the edge
-        targets). The multisets, built and checked against the cap, lump the probe unless
+        per-agent costs, free-move graph as each state's first edge and the edge targets).
+        The multisets, built and checked against the cap, lump the probe unless
         ``_check_lumpable`` refuses it. Language ids need every class homogeneous."""
         self._check_lumpable()
-        space = MultisetSpace(self.table, self.n_agents)
+        space, N = MultisetSpace(self.table, self.n_agents), self.n_agents
         ids = space.all_ids()
-        res = self._resistances(ids)
+        # Per-agent resistances as small integers; an impossible move costs N + 1, so that
+        # its sums over the agents exceed N without overflowing.
+        cost = np.nan_to_num(self._resistances(ids), copy=False, posinf=N + 1).astype(
+            np.min_scalar_type(N * (N + 1)))
         # Free moves grow one agent at a time: each partial move is extended by every
         # language that agent can adopt at no cost. Before each agent, agent orders that
         # reach one partial multiset are merged by a sort (numpy 2's np.unique hashes int64
         # keys, which is far slower at these sizes), and at the end once more with a self-loop
         # at every state, which changes no reachability and gives every state an edge each way.
         srcs, dsts = np.arange(space.size), np.zeros(space.size, dtype=np.int64)
-        for i in range(self.n_agents):
+        for i in range(N):
             pairs = np.sort(srcs * space.size + dsts)
             srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
-            edge, lid = np.nonzero(res[srcs, i] == 0)
-            srcs, dsts = srcs[edge], space.extend(i, dsts[edge], lid)
+            edge, lid = np.nonzero(cost[srcs, i] == 0)
+            srcs, dsts = srcs[edge], space._insert[i][dsts[edge], lid]
         states = np.arange(space.size)
         pairs = np.sort(np.append(srcs * space.size + dsts, states * (space.size + 1)))
         srcs, dsts = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], space.size)
@@ -322,7 +321,7 @@ class _ChainModel:
         homogeneous = all(len(cls) == 1 for cls in classes) and (heads.T == heads[:, 0]).all()
         lang_ids = heads[:, 0].tolist() if homogeneous else None
         codes = _codes(ids, self.table.size)
-        return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, res, free
+        return space, classes, [codes[cls].tolist() for cls in classes], lang_ids, cost, free
 
     def recurrent_classes(self) -> list[list[int]]:
         """Closed communication classes of the unperturbed (eps=0) chain."""
@@ -341,11 +340,8 @@ class _ChainModel:
         resistance matrix, each folded anew from the per-agent costs for the rows still open.
         No move costs more than N, so the search stops after N levels in a row that add no state.
         """
-        labelled = self.recurrent_classes()
-        space, classes, _, lang_ids, res, free = self._search
+        space, classes, labelled, lang_ids, cost, free = self._search
         V, N = space.size, self.n_agents
-        # Impossible per-agent moves cost N + 1, so their sums exceed N without overflowing.
-        cost = np.where(np.isfinite(res), res, N + 1).astype(np.min_scalar_type(N * (N + 1)))
         unreached = np.iinfo(np.int32).max
         dist = np.full((V, len(classes)), unreached, dtype=np.int32)
         new = np.zeros(dist.shape, dtype=bool)
@@ -584,12 +580,11 @@ def _in_tree_weights(weights: np.ndarray) -> np.ndarray:
         paid[sink] = 0.0
         total, own = total + paid.sum(), own + paid[group]
         w -= paid[:, None]
-        # After k squarings reach[u, v] says v is at most 2^k >= n - 1 cheapest out-edges
-        # from u; nodes that reach each other form one set, named by its least node.
-        reach = np.eye(n, dtype=np.float32) + (w == 0.0)
-        for _ in range((n - 1).bit_length()):
-            reach = np.minimum(reach @ reach, 1.0)
-        name = (reach * reach.T).argmax(axis=1)
+        # reach[u, v]: cheapest out-edges lead from u to v; nodes that reach each other form
+        # one set, named by its least node. A self-loop gives every node a first edge.
+        srcs, dsts = np.nonzero((w == 0.0) | np.eye(n, dtype=bool))
+        reach = _reaching((np.searchsorted(srcs, np.arange(n)), dsts), np.eye(n, dtype=bool))
+        name = (reach & reach.T).argmax(axis=1)
         named = name == np.arange(n)
         if named.all():
             break
@@ -655,14 +650,14 @@ def optimal_state_indices(space: StateSpace) -> np.ndarray:
 def sweep_stationary(model: _ChainModel, epsilons) -> list[dict]:
     """Exact stationary solve per epsilon with mass bookkeeping on optimal states.
 
-    Every epsilon is validated before the first kernel is built, and GTH overwrites each.
-    A failed solve raises ConvergenceError naming its epsilon.
+    The space is checked against the cap and every epsilon validated before the first kernel
+    is built, and GTH overwrites each. A failed solve raises ConvergenceError naming its epsilon.
     """
-    epsilons = tuple(epsilons)  # read twice, so a one-shot iterable is materialized
+    space, epsilons = model.space, tuple(epsilons)  # a one-shot iterable is read twice
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"sweep epsilons must lie in (0, 1), got {eps}")
-    optimal, ids, rows = optimal_state_indices(model.space), model.space.all_ids(), []
+    optimal, ids, rows = optimal_state_indices(space), space.all_ids(), []
     for eps in epsilons:
         try:  # the residual of stationary(): kernel row v is the outer product of the agents'
             # factors[v, i], so mu @ kernel is mu folded into agent 0, the last agent a matmul

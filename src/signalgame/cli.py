@@ -305,17 +305,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _chain(cfg: RunConfig, labelled: bool):
-    """The chain of a verify or sweep run. The space it will enumerate, labelled states
-    or multisets, is checked against the cap first: the per-agent probabilities of a
-    large N would take minutes to build."""
+def _chain(cfg: RunConfig):
+    """The chain of a verify or sweep run. Its multisets, the smallest space either command
+    enumerates, are checked against the cap first: the per-agent probabilities of a large N
+    would take minutes to build. A labelled space is refused where the chain builds it."""
     table = get_table(cfg.m, cfg.n)
-    space_size(table.size, max(cfg.N, 0), multisets=not labelled)  # the parameters refuse N < 2
+    space_size(table.size, max(cfg.N, 0), multisets=True)  # the parameters refuse N < 2
     return make_chain(table, _make_params(cfg))
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    model = _chain(cfg, labelled=cfg.sweep)
+    model = _chain(cfg)
     report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
     text = report.to_json()
     (out_dir / "verify_report.json").write_text(text)
@@ -324,7 +324,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    model = _chain(cfg, labelled=True)
+    model = _chain(cfg)
     rows = sweep_stationary(model, cfg.epsilons)
     lines = ["eps,optimal_mass,top_state_id,top_state_mass"]
     for row in rows:

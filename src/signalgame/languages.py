@@ -7,10 +7,10 @@ using ``a`` and a hearer using ``b`` succeeds on object ``i`` exactly when
 ``hear[b][speak[a][i]] == i``; counting successes gives tr(P_a Q_b).
 
 Languages are numbered by a canonical id (mixed radix, speak-major).
-``LanguageTable`` holds the maps and payoffs of every language as arrays over
-these ids, and builds cross traces and Hamming distances on first read. Fitness
-values are exact integers scaled by (N-1), so that argmax sets, ties and the
-potential identity can be asserted with zero tolerance.
+``LanguageTable`` holds traces and distances between speaking and hearing maps,
+from which it builds the payoff over these ids on first read, and the disks.
+Fitness values are exact integers scaled by (N-1), so that argmax sets, ties
+and the potential identity can be asserted with zero tolerance.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ class LanguageTable:
     Everything downstream (simulation, exact chain analysis, replicator
     payoffs) works on canonical ids through these arrays. Tables are built
     once with numpy broadcasting; the tests check them against scalar
-    one-language-at-a-time versions in ``tests/reference.py``. The K x K
-    payoff is held from the start; ``cross`` and ``hamming_q``, which no
-    command reads whole, are built on first read; ``disks`` holds int16 ids
-    (below 2^15 by the cap) and builds no K x K table.
+    one-language-at-a-time versions in ``tests/reference.py``. The table
+    holds only tables over the maps and ``aligned_ids``: the K x K int16
+    payoff is built on first read, ``payoff_matrix`` builds its float64 one
+    from the same maps, and ``disks`` holds int16 ids (below 2^15 by the cap)
+    and builds no K x K table.
     """
 
     def __init__(self, m: int, n: int):
@@ -53,36 +54,27 @@ class LanguageTable:
         self.n = n
         self.size = language_count(m, n)
         # Ids are speak-major, id = s * m^n + h over the n^m speaking maps s and the m^n
-        # hearing maps h, so each K x K table is a (speak, hear, speak, hear) block array:
-        # one int16 allocation, broadcast from tables over the maps.
+        # hearing maps h, so a K x K table is a (speak, hear, speak, hear) block array.
         speak_maps = np.stack([np.arange(n**m) // n**i % n for i in range(m)], axis=1)
         hear_maps = np.stack([np.arange(m**n) // m**j % m for j in range(n)], axis=1)
-        self.speak = np.repeat(speak_maps, m**n, axis=0).astype(np.int16)
-        self.hear = np.tile(hear_maps, (n**m, 1)).astype(np.int16)
         # _trace[s, h] = tr(P_s Q_h) counts the objects i that h returns from s's symbol for i
         self._trace = (hear_maps.T[speak_maps] == np.arange(m)[:, None]).sum(axis=1, dtype=np.int16)
         self._map_q = [2 * (maps[:, None] != maps[None]).sum(axis=2, dtype=np.int16)
                        for maps in (speak_maps, hear_maps)]  # twice the differing entries
-        self.payoff = self._blocks(self._trace[:, None, None, :], self._trace.T[None, :, :, None])
-        self.aligned_mask = self._trace.ravel() == min(m, n)
-        self.aligned_ids = np.flatnonzero(self.aligned_mask)
+        self.aligned_ids = np.flatnonzero(self._trace.ravel() == min(m, n))
         self._disks: dict[int, list[np.ndarray]] = {}
 
-    def _blocks(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left + right as a K x K table; C order, so that the reshape is a view."""
-        return np.add(left, right, order="C").reshape(self.size, self.size)
+    def _blocks(self, dtype) -> np.ndarray:
+        """The K x K payoff in ``dtype``: entry [(s, h), (s', h')] is tr(P_s Q_h') + tr(P_s' Q_h),
+        one C-order allocation (the reshape is a view) that adds without casting buffers."""
+        trace = self._trace.astype(dtype)
+        return np.add(trace[:, None, None, :], trace.T[None, :, :, None],
+                      order="C").reshape(self.size, self.size)
 
     @cached_property
-    def cross(self) -> np.ndarray:
-        """cross[a, b] = tr(P_a Q_b), which reads a's speaking map and b's hearing map."""
-        S, H = self._trace.shape
-        return self._blocks(self._trace[:, None, None, :], np.zeros((H, S, 1), dtype=np.int16))
-
-    @cached_property
-    def hamming_q(self) -> np.ndarray:
-        """hamming_q[a, b]: twice the map entries where a and b differ."""
-        speak_q, hear_q = self._map_q
-        return self._blocks(speak_q[:, None, :, None], hear_q[None, :, None, :])
+    def payoff(self) -> np.ndarray:
+        """payoff[a, b] = tr(P_a Q_b) + tr(P_b Q_a), int16, built on first read."""
+        return self._blocks(np.int16)
 
     def disks(self, d: int) -> list[np.ndarray]:
         """Per-language int16 arrays of ids within Hamming distance d (ascending), each

@@ -153,16 +153,17 @@ def test_criterion_05_resistance_calculus():
 
     rg = chain.least_resistance()
     r_matrix = rg.r
-    selftrace = np.diagonal(table.cross)
+    selftrace = np.diagonal(table.payoff) // 2
+    aligned_mask = np.isin(np.arange(16), table.aligned_ids)
     raising_edges_ok = all(
         r_matrix[lid, trace_raising_neighbor(Language.from_id(2, 2, lid)).id] == 1
         for lid in range(16)
-        if not table.aligned_mask[lid]
+        if not aligned_mask[lid]
     )
     aligned_exit_ok = all(
         r_matrix[lid, other] >= 2
         for lid in range(16)
-        if table.aligned_mask[lid]
+        if aligned_mask[lid]
         for other in range(16)
         if other != lid and selftrace[other] < selftrace[lid]
     )

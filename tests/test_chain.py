@@ -135,11 +135,11 @@ class TestStateSpace:
         assert chain.step_resistance(state, state) == 0.0
 
     def test_optimal_indices(self, table22):
-        space = StateSpace(table22, 3)
+        space, aligned_mask = StateSpace(table22, 3), np.isin(np.arange(16), table22.aligned_ids)
         for index in optimal_state_indices(space):
             decoded = decode(space, int(index))
             assert len(set(decoded)) == 1
-            assert table22.aligned_mask[decoded[0]]
+            assert aligned_mask[decoded[0]]
 
 
 class TestMultisetSpace:
@@ -452,7 +452,7 @@ class TestStepResistance:
         chain = ImitationChain(table22, params)
         lid = 0
         near = int(table22.disks(1)[lid][1])
-        far = int(np.flatnonzero(table22.hamming_q[lid] > 4)[0])
+        far = int(np.setdiff1d(np.arange(16), table22.disks(1)[lid])[0])  # Hamming q above 4
         assert chain.step_resistance((lid,) * 3, (lid, lid, near)) == 1
         assert chain.step_resistance((lid,) * 3, (lid, lid, far)) == float("inf")
 
@@ -799,9 +799,10 @@ class TestLeastResistance:
         from reference import trace_raising_neighbor
 
         r = resistance223.r
-        selftrace = np.diagonal(table22.cross)
+        selftrace = np.diagonal(table22.payoff) // 2
+        aligned_mask = np.isin(np.arange(16), table22.aligned_ids)
         for lid in range(16):
-            if table22.aligned_mask[lid]:
+            if aligned_mask[lid]:
                 # leaving an aligned state toward lower trace costs >= 2
                 for other in range(16):
                     if other != lid and selftrace[other] < selftrace[lid]:
@@ -821,9 +822,9 @@ class TestLeastResistance:
         # strictly larger stochastic potential than the minimum
         gamma = stochastic_potential(resistance223)
         lang_ids = resistance223.lang_ids
-        floor = gamma.min()
+        floor, aligned_mask = gamma.min(), np.isin(np.arange(16), table22.aligned_ids)
         for k, lid in enumerate(lang_ids):
-            if not table22.aligned_mask[lid]:
+            if not aligned_mask[lid]:
                 assert gamma[k] > floor
 
     def test_minimizers_carry_the_stationary_mass(self, table22, imitation223,

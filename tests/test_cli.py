@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -631,6 +632,20 @@ class TestSweepCommand:
                          "--eps-list", "0.1", "--out", str(tmp_path / "sweep")])
         assert code == 3
         assert "physical memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["verify", "--sweep"],
+                                      ["sweep", "--eps-list", "2"]],
+                             ids=["sweep", "verify-sweep", "sweep-bad-eps"])
+    def test_labelled_space_above_the_cap_exit_code(self, tmp_path, capsys, argv):
+        # 15,504 multisets pass the command's check; the chain refuses the 16^5 labelled
+        # states, before any epsilon is read and before a kernel is built.
+        start = time.monotonic()
+        code = cli.main([*argv, "--m", "2", "--n", "2", "--N", "5", "--out", str(tmp_path / "out")])
+        elapsed = time.monotonic() - start
+        assert code == 3
+        assert "labelled state space has 1048576 states" in capsys.readouterr().err
+        assert elapsed < 1.0
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.filterwarnings("error")

@@ -423,7 +423,7 @@ def _oracle_record(table, t, ids, N):
     return {
         "t": t,
         "ids": tuple(int(x) for x in ids),
-        "frac_aligned": Fraction(int(table.aligned_mask[ids].sum()), N),
+        "frac_aligned": Fraction(int(np.isin(ids, table.aligned_ids).sum()), N),
         "avg_fitness": Fraction(int(fit.sum()), N * (N - 1)),
         "majority_id": int(counts.argmax()),
         "aligned_counts": aligned_counts,

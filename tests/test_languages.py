@@ -312,25 +312,29 @@ class TestLanguageTable:
         table = get_table(m, n)
         langs = enumerate_languages(m, n)
         rng = np.random.default_rng(0)
+        aligned_mask = np.isin(np.arange(table.size), table.aligned_ids)
         for _ in range(200):
             x, y = rng.integers(0, table.size, 2)
-            assert table.cross[x, y] == cross_trace(langs[x], langs[y])
-            assert table.hamming_q[x, y] == hamming_q(langs[x], langs[y])
+            assert table.payoff[x, x] // 2 == cross_trace(langs[x], langs[x])
+            assert (y in table.disks(1)[x]) == (hamming_q(langs[x], langs[y]) <= 4)
             assert table.payoff[x, y] == cross_trace(langs[x], langs[y]) + cross_trace(langs[y], langs[x])
-        assert [bool(f) for f in table.aligned_mask] == [is_aligned(l) for l in langs]
+        assert [bool(f) for f in aligned_mask] == [is_aligned(l) for l in langs]
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_tables_match_broadcast_reference(self, m, n):
-        # Whole tables against the (K, K, m)-temporary broadcast formulas.
-        table = get_table(m, n)
-        speak, hear = table.speak, table.hear
+        # Whole tables against the (K, K, m)-temporary broadcast formulas, on the (K, m)
+        # speaking and (K, n) hearing maps of the languages in id order.
+        table, langs = get_table(m, n), enumerate_languages(m, n)
+        speak, hear = np.array([l.speak for l in langs]), np.array([l.hear for l in langs])
         cross = (hear[:, speak] == np.arange(m)).sum(axis=2).T
         speak_diffs = (speak[:, None, :] != speak[None, :, :]).sum(axis=2)
         hear_diffs = (hear[:, None, :] != hear[None, :, :]).sum(axis=2)
-        assert np.array_equal(table.cross, cross)
         assert np.array_equal(table.payoff, cross + cross.T)
-        assert np.array_equal(table.hamming_q, 2 * (speak_diffs + hear_diffs))
-        assert table.cross.dtype == table.payoff.dtype == table.hamming_q.dtype == np.int16
+        hamming = 2 * (speak_diffs + hear_diffs)
+        for d in (1, 2):
+            assert all(np.array_equal(members, np.flatnonzero(row <= 4 * d))
+                       for members, row in zip(table.disks(d), hamming))
+        assert table.payoff.dtype == np.int16
 
     def test_disks_match(self):
         table = get_table(2, 2)
@@ -351,27 +355,33 @@ class TestLanguageTable:
                 assert lists[lid].tolist() == [l.id for l in disk(langs[lid], d)]
 
     def test_fresh_table_holds_payoff_and_disks_only(self):
-        # cross and hamming_q are built on first read and disks() builds no K x K table,
-        # so 729 languages hold a 1.0 MiB int16 payoff and 1.0 MiB of int16 disks (every
-        # language lies within d = 3), where int64 disks and three K x K tables held
-        # about 7.3 MiB.
+        # disks() builds no K x K table, so 729 languages hold a 1.0 MiB int16 payoff, once
+        # read, and 1.0 MiB of int16 disks (every language lies within d = 3), where int64
+        # disks and three K x K tables held about 7.3 MiB.
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             table = LanguageTable(3, 3)
+            table.payoff
             lists = table.disks(3)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             if started:
                 tracemalloc.stop()
         assert held < 2.5 * 2**20
-        assert "cross" not in vars(table) and "hamming_q" not in vars(table)
         assert all(members.dtype == np.int16 for members in lists)
         assert all(members.tolist() == list(range(729)) for members in lists)
-        assert table.cross is table.cross and table.hamming_q is table.hamming_q
-        assert "cross" in vars(table) and "hamming_q" in vars(table)
+
+    def test_payoff_is_built_on_first_read(self):
+        table = LanguageTable(2, 3)
+        assert "payoff" not in vars(table)
+        assert not any(isinstance(value, np.ndarray) and value.size >= table.size**2
+                       for value in vars(table).values())
+        payoff = table.payoff
+        assert "payoff" in vars(table) and table.payoff is payoff
+        assert payoff.shape == (table.size, table.size) and payoff.dtype == np.int16
 
     def test_fitness_ids(self):
         table = get_table(2, 3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ class TestPayoffMatrix:
         A = payoff_matrix(m, n)
         assert A.dtype == np.float64
         assert np.array_equal(A, get_table(m, n).payoff)
+
+    def test_built_without_an_int16_copy(self):
+        # the float64 matrix comes straight from the table's traces: a fresh (3,3) table
+        # plus the matrix peak at its 729^2 doubles and half a MiB, with no int16 payoff
+        get_table.cache_clear()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            A = payoff_matrix(3, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= len(A) ** 2 * 8 + 2**19
+        assert np.array_equal(A, get_table(3, 3).payoff.astype(np.float64))
 
     def test_object_permutation_symmetry(self, A22):
         langs = enumerate_languages(2, 2)
