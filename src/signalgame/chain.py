@@ -43,11 +43,11 @@ same IEEE operations in the same order, so the result is fixed bit for bit.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quoted
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class MultisetSpace:
         for i in range(1, n_agents):
             prev = _codes(rows, K)
             grown = np.column_stack([np.repeat(rows, K, axis=0), np.tile(np.arange(K), len(rows))])
-            rows = np.array(list(itertools.combinations_with_replacement(range(K), i + 1)))
-            insert = np.searchsorted(_codes(rows, K), _codes(np.sort(grown), K))
+            codes, insert = np.unique(_codes(np.sort(grown), K), return_inverse=True)
+            rows = _ids(codes, K, i + 1)
             self._insert.append(insert.reshape(-1, K))
             # A repeated language gives one preimage twice, which the fold's minimum absorbs.
             self._drop.append([np.searchsorted(prev, _codes(np.delete(rows, p, axis=1), K))
@@ -638,7 +638,22 @@ class VerifyReport:
     notes: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
+        return _indented_json(vars(self))
+
+
+def _indented_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str keys, without json's slow indent."""
+    if type(value) is int:
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):  # a key that is not a str raises TypeError
+        items, ends = [f"{_quoted(key)}: {_indented_json(v, inner)}"
+                       for key, v in sorted(value.items())], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_indented_json(v, inner) for v in value], "[]"
+    else:  # json.dumps of a str returns its encode_basestring_ascii
+        return json.dumps(value)
+    return f"{ends[0]}{inner}{f',{inner}'.join(items)}{indent}{ends[1]}" if items else ends
 
 
 def optimal_state_indices(space: StateSpace) -> np.ndarray:
@@ -718,12 +733,8 @@ def verify_stability(model: _ChainModel, epsilons=()) -> VerifyReport:
         notes.append("m != n: the equality of stable and optimal sets is only fully established "
                      "for m = n; treat this report as an empirical finding")
 
-    resistances = [
-        [int(labels[i]), int(labels[j]), int(rg.r[i, j])]
-        for i in range(rg.n_classes)
-        for j in range(rg.n_classes)
-        if i != j
-    ]
+    resistances = [[int(labels[i]), int(labels[j]), int(r)]  # int(inf) raises OverflowError
+                   for i, row in enumerate(rg.r.tolist()) for j, r in enumerate(row) if i != j]
     return VerifyReport(
         params={
             "m": table.m,

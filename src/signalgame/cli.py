@@ -23,8 +23,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
+import shutil
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import make_chain, space_size, sweep_stationary, verify_stability
+from .chain import _indented_json, make_chain, space_size, sweep_stationary, verify_stability
 from .dynamics import CsvRows, ImitationParams, LocalParams, check_steps, random_profile_ids, run
 from .errors import CapExceededError, ConvergenceError
 from .languages import get_table
@@ -157,15 +159,17 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="signalgame", description=__doc__.split("\n\n")[0])
+    # argparse's formatter reads the terminal width each time one is made, once per flag
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser("signalgame", description=__doc__.split("\n\n")[0], formatter_class=formatter)
     parser.add_argument("--version", action="version", version=f"signalgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (summary, flags) in _COMMANDS.items():
         # no abbreviations: verify would otherwise read --eps as --eps-list
-        command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        command = sub.add_parser(name, help=summary, allow_abbrev=False, formatter_class=formatter)
         for flag in flags.split():
             command.add_argument(flag, default=None, **_FLAGS[flag])
-    sub.add_parser("presets", help="print the preset definitions")
+    sub.add_parser("presets", help="print the preset definitions", formatter_class=formatter)
     return parser
 
 
@@ -300,8 +304,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
                          "terminal_frac_aligned": sink.terminal.n_aligned / cfg.N})
     summary = {"tail_window_start": cfg.horizon // 2, "seeds": per_seed,
                "mean_tail_frac_aligned": total / len(per_seed)}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    (out_dir / "summary.json").write_text(text := _indented_json(summary))
+    print(text)
     return 0
 
 
@@ -317,8 +321,7 @@ def _chain(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     model = _chain(cfg)
     report = verify_stability(model, cfg.epsilons if cfg.sweep else ())
-    text = report.to_json()
-    (out_dir / "verify_report.json").write_text(text)
+    (out_dir / "verify_report.json").write_text(text := report.to_json())
     print(text)
     return 0 if report.verdict in ("pass", "degenerate") else 2
 
@@ -368,9 +371,9 @@ def cmd_replicator(cfg: RunConfig, out_dir: Path) -> int:
     last = len(w_path) - 1
     with open(out_dir / "replicator.csv", "w") as csv:
         csv.write("t,W," + ",".join(f"x_{k}" for k in range(K)) + "\n")
-        for idx, (t, state) in enumerate(zip(traj.times.tolist(), traj.states)):
+        for idx, (t, state) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
             w = w_path[min(idx * cfg.record_every, last)]
-            csv.write(f"{t!r},{w!r}," + ",".join(map(repr, state.tolist())) + "\n")
+            csv.write(f"{t!r},{w!r}," + ",".join(map(repr, state)) + "\n")
     print(json.dumps({"terminal_W": float(traj.mean_fitness_path[-1]),
                       "terminal_rhs_inf": traj.terminal_rhs_inf,
                       "max_sum_err": traj.max_sum_err}, sort_keys=True))
@@ -384,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "presets":
-        print(json.dumps(PRESETS, indent=2, sort_keys=True))
+        print(_indented_json(PRESETS))
         return 0
     made = []
     try:
@@ -399,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         config = {key: getattr(cfg, key) for key in _read_fields(args)}
         metadata = {"config": config, "prng": "numpy.random.default_rng (PCG64)",
                     "numpy_version": np.__version__, "signalgame_version": __version__}
-        (out_dir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True))
+        (out_dir / "metadata.json").write_text(_indented_json(metadata))
         return code
     except (CapExceededError, ConvergenceError, ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -23,6 +25,7 @@ from signalgame.chain import (
     _codes,
     _gth_stationary,
     _ids,
+    _indented_json,
     _outer,
     make_chain,
     optimal_state_indices,
@@ -31,6 +34,7 @@ from signalgame.chain import (
     sweep_stationary,
     verify_stability,
 )
+from signalgame.cli import PRESETS
 from signalgame.dynamics import (
     ImitationParams,
     LocalParams,
@@ -1206,3 +1210,57 @@ class TestVerify:
         monkeypatch.setattr(imitation223, "kernel", kernel)
         with pytest.raises(ValueError):
             sweep_stationary(imitation223, [0.1, 1.5])
+
+
+# -- the indented JSON writer -----------------------------------------------------
+
+_ROOT = Path(__file__).resolve().parents[1]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    """Every JSON file the CLI writes comes from ``_indented_json``, which must give
+    exactly ``json.dumps(value, indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def _check(value) -> str:
+        text = _indented_json(value)
+        assert text == json.dumps(value, indent=2, sort_keys=True)
+        return text
+
+    @pytest.mark.parametrize("path", sorted((_ROOT / "tests" / "data").glob("*.json"))
+                             + sorted((_ROOT / "perfbench" / "refs").glob("verify_*.json")),
+                             ids=lambda path: path.name)
+    def test_captured_reports_are_written_again_byte_for_byte(self, path):
+        assert self._check(json.loads(path.read_bytes())).encode() == path.read_bytes()
+
+    def test_presets(self):
+        self._check(PRESETS)
+
+    def test_report_with_an_epsilon_sweep(self):
+        report = verify_stability(imitation_chain(2, 2, 2), [0.1, 0.05])
+        assert report.epsilon_sweep and report.to_json() == self._check(vars(report))
+
+    def test_reports_of_heterogeneous_probabilities(self, table22):
+        matrix = np.random.default_rng(3).uniform(0.05, 0.95, (3, 3)).tolist()
+        for params in (ImitationParams(0.01, 2, (0.2, 0.3, 0.4)),
+                       LocalParams(0.01, tuple(map(tuple, matrix)))):
+            report = verify_stability(make_chain(table22, params))
+            assert report.to_json() == self._check(vars(report))
+
+    @given(value=_JSON_VALUES)
+    @example(value=[-0.0, float("inf"), float("-inf"), float("nan"), 10**30, -7, True, None])
+    @example(value={"\u00e9\n\"\\\x00\ud83d": ["\t\u2028", {}], "": [[], {"a": ()}]})
+    @settings(max_examples=300, deadline=None)
+    def test_any_str_keyed_value(self, value):
+        self._check(value)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 0}]}, {"a": 1, 2.5: 0}])
+    def test_a_key_that_is_not_a_str_raises(self, value):
+        with pytest.raises(TypeError):
+            _indented_json(value)

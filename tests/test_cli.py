@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -88,6 +89,26 @@ def test_preset_snapshot():
 def test_presets_command(capsys):
     assert cli.main(["presets"]) == 0
     assert json.loads(capsys.readouterr().out) == EXPECTED_PRESETS
+
+
+def test_parser_reads_the_terminal_width_once(monkeypatch):
+    # argparse's own formatter reads it each time one is made: 49 times for this parser
+    real, calls = shutil.get_terminal_size, []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    cli.build_parser()
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_is_argparse_s_own_at_the_terminal_width(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [parser, *subparsers.choices.values()]
+    texts = [p.format_help() for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert texts == [p.format_help() for p in parsers]
 
 
 # The RunConfig fields each command reads, and so accepts from a flag, a preset or a file.
